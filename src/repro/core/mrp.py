@@ -232,25 +232,18 @@ def optimize(
             "supplied graph does not match the coefficients/options "
             f"(vertices/max_shift/representation mismatch)"
         )
-    color_sets = {color: graph.color_set(color) for color in graph.colors}
-    costs = {color: float(graph.color_cost(color)) for color in graph.colors}
-    element_weights = None
-    if opts.strategy == "savings":
-        # Covering vertex v replaces its direct digit chain with one overhead
-        # adder, saving adder_cost(v) - 1; weight the cover accordingly.
-        element_weights = {
-            v: max(0.0, adder_cost(v, opts.representation) - 1.0)
-            for v in vertices
-        }
     if budget is not None:
         budget.checkpoint()
     if cover_fn is not None:
+        color_sets = {color: graph.color_set(color) for color in graph.colors}
+        costs = {color: float(graph.color_cost(color)) for color in graph.colors}
         cover = cover_fn(set(vertices), color_sets, costs, opts)
     else:
+        index = graph.cover_index(opts.strategy)
         cover = greedy_weighted_set_cover(
-            set(vertices), color_sets, costs, beta=opts.beta,
-            element_weights=element_weights, strategy=opts.strategy,
-            budget=budget,
+            set(vertices), index.sets, index.costs, beta=opts.beta,
+            element_weights=index.element_weights, strategy=opts.strategy,
+            budget=budget, index=index,
         )
     if budget is not None:
         budget.checkpoint()

@@ -180,9 +180,10 @@ def best_mrpf(
 ) -> MrpfArchitecture:
     """Sweep β, lower each plan, return the cheapest architecture.
 
-    The SIDC graph is built once and shared across the sweep — it does not
-    depend on β.  The all-roots trivial plan participates as a floor, so the
-    result is never worse than the (fundamental-sharing) simple baseline.
+    The SIDC graph — and with it the greedy cover's index — is built once and
+    shared across the sweep: neither depends on β.  The all-roots trivial
+    plan participates as a floor, so the result is never worse than the
+    (fundamental-sharing) simple baseline.
 
     An optional cooperative ``budget`` is threaded through the graph build
     and every per-β cover/forest optimization; on exhaustion the in-flight
@@ -205,6 +206,10 @@ def best_mrpf(
         representation=representation, depth_limit=depth_limit
     )
     best = lower_plan(trivial_plan(coefficients, base_options), seed_compression)
+    # Betas often agree on the cover.  A repeated cover has the same forest
+    # and lowers to the same architecture, which cannot replace ``best`` (only
+    # a strictly lower count does), so it is not lowered again.
+    seen_covers = set()
     for beta in betas:
         options = MrpOptions(
             beta=beta, representation=representation, depth_limit=depth_limit
@@ -212,6 +217,9 @@ def best_mrpf(
         plan = optimize(
             coefficients, wordlength, options, graph=graph, budget=budget
         )
+        if plan.solution_colors in seen_covers:
+            continue
+        seen_covers.add(plan.solution_colors)
         architecture = lower_plan(plan, seed_compression)
         if architecture.adder_count < best.adder_count:
             best = architecture

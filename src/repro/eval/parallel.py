@@ -171,7 +171,18 @@ def plan_tasks(
                         method="mrpf",
                         depth_limit=3,
                     ))
-    return tuple(sorted(tasks))
+    return tuple(sorted(tasks, key=_task_order))
+
+
+def _task_order(task: SweepTask) -> Tuple:
+    """Field order of :class:`SweepTask`, with ``depth_limit=None`` before ints.
+
+    Sorting the tasks themselves compares ``None`` with an int whenever two
+    tasks differ only in their depth limit (fig7 and table1 at W=16).
+    """
+    return (task.filter_index, task.wordlength, task.scaling,
+            task.representation, task.method,
+            task.depth_limit is not None, task.depth_limit or 0)
 
 
 def _memory_key(task: SweepTask) -> Tuple:

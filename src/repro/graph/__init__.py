@@ -3,6 +3,7 @@
 from .colored import ColorEdge, ColoredGraph, build_colored_graph
 from .exact_cover import exact_weighted_set_cover, prune_dominated_sets
 from .setcover import (
+    CoverIndex,
     CoverSolution,
     CoverStep,
     benefit,
@@ -13,6 +14,7 @@ from .spanning import SpanningForest, TreeAssignment, build_spanning_forest
 __all__ = [
     "ColorEdge",
     "ColoredGraph",
+    "CoverIndex",
     "CoverSolution",
     "CoverStep",
     "SpanningForest",

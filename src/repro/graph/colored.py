@@ -19,11 +19,13 @@ cheapest set of primary colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GraphError
-from ..numrep import Representation, digit_cost, oddpart
+from ..numrep import Representation, adder_cost, digit_cost, oddpart
 from ..obs import span as obs_span
+from .setcover import CoverIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
     from ..robust.budget import SolverBudget
@@ -74,7 +76,8 @@ class ColoredGraph:
     * ``color_costs``  — primary color -> digit cost in the chosen representation
     * ``edges_by_color`` — primary color -> the concrete edges, for spanning-
       tree construction after the cover is chosen
-    * ``colors_of_vertex`` — reverse index for incremental frequency updates
+    * ``colors_of_vertex`` — reverse index: the colors with an edge into a vertex
+    * ``cover_index`` — the greedy cover's β-invariant state, built once
     """
 
     def __init__(
@@ -104,6 +107,7 @@ class ColoredGraph:
         self._color_costs: Dict[int, int] = {
             color: digit_cost(color, representation) for color in self._color_sets
         }
+        self._cover_indexes: Dict[str, CoverIndex] = {}
 
     @classmethod
     def _from_prebuilt(
@@ -135,6 +139,7 @@ class ColoredGraph:
         graph._colors_of_vertex = colors_of_vertex
         graph._edges_into_by_color = edges_into_by_color
         graph._color_costs = color_costs
+        graph._cover_indexes = {}
         return graph
 
     @property
@@ -181,6 +186,40 @@ class ColoredGraph:
     def edges_of_color(self, color: int) -> Tuple[ColorEdge, ...]:
         """All concrete edges whose class representative is ``color``."""
         return tuple(self._edges_by_color[color])
+
+    def cover_index(self, strategy: str = "benefit") -> CoverIndex:
+        """The greedy cover's index over this graph for ``strategy``, built once.
+
+        Its universe is the vertex set, its costs the float digit costs, and
+        its sets a read-only mapping over the graph's own color sets: the
+        sets themselves are not copied (freezing them all costs about as much
+        as building the index), so callers must not mutate them.  Under
+        ``"savings"`` covering vertex ``v`` replaces its direct digit chain
+        with one overhead adder, saving ``adder_cost(v) - 1``; the index
+        weights each vertex accordingly.  ``"benefit"`` counts vertices (no
+        weights).
+        """
+        index = self._cover_indexes.get(strategy)
+        if index is None:
+            if strategy == "savings":
+                weights = {
+                    v: max(0.0, adder_cost(v, self._representation) - 1.0)
+                    for v in self._vertices
+                }
+            elif strategy == "benefit":
+                weights = None
+            else:
+                raise GraphError(f"unknown cover strategy {strategy!r}")
+            index = CoverIndex(
+                self._vertices,
+                MappingProxyType(self._color_sets),
+                MappingProxyType({
+                    color: float(cost) for color, cost in self._color_costs.items()
+                }),
+                weights,
+            )
+            self._cover_indexes[strategy] = index
+        return index
 
     def edges_into(self, vertex: int, allowed_colors: Set[int]) -> List[ColorEdge]:
         """Edges terminating at ``vertex`` whose color lies in ``allowed_colors``."""

@@ -17,8 +17,9 @@ from repro.eval import cache as disk_cache
 from repro.eval import experiments
 from repro.eval.experiments import best_mrpf, clear_cache
 from repro.eval.export import sweep_to_json
-from repro.eval.harness import run_sweep
+from repro.eval.harness import EXPERIMENTS, run_sweep
 from repro.eval import parallel as parallel_module
+from repro.eval.__main__ import EXIT_OK, main
 from repro.eval.parallel import (
     SweepTask,
     auto_chunk_size,
@@ -255,6 +256,27 @@ class TestTaskPlanning:
             assert task.depth_limit == 3
             assert task.method == "mrpf"
         assert {t.representation for t in tasks} == {"csd", "sm"}
+
+    def test_fig7_with_table1_puts_unbounded_depth_first(self):
+        # fig7 and table1 meet at W=16 on (maximal, csd, mrpf) and differ
+        # only in depth_limit; plain sorting compared None with 3.
+        tasks = plan_tasks(["fig7", "table1"], [0], [16])
+        met = [t for t in tasks
+               if t.method == "mrpf" and t.representation == "csd"]
+        assert [t.depth_limit for t in met] == [None, 3]
+
+    def test_all_experiments_plan_in_field_order(self):
+        tasks = plan_tasks(sorted(EXPERIMENTS), [0, 1], [8, 16])
+        assert len(set(tasks)) == len(tasks)
+        # Tasks that never meet a same-field twice keep sorted()'s order.
+        for depth in (None, 3):
+            same = [t for t in tasks if t.depth_limit == depth]
+            assert same == sorted(same)
+
+    def test_all_form_of_the_cli_runs(self, tmp_path, capsys):
+        code = main(["all", "--filters", "0", "--wordlengths", "16",
+                     "--jobs", "2", "--cache-dir", str(tmp_path)])
+        assert code == EXIT_OK
 
 
 class TestDiskCache:
