@@ -66,9 +66,10 @@ class CoverBudgetError(BudgetExceeded, GraphError):
 
 
 class SupervisorError(ReproError):
-    """The supervised sweep layer was misconfigured or cannot proceed.
+    """The sweep engine was misconfigured or cannot proceed.
 
-    Raised for contract violations of :mod:`repro.eval.supervisor` — e.g.
+    Raised for contract violations of
+    :func:`~repro.eval.parallel.run_sweep_parallel` — e.g.
     ``resume=True`` without a journal directory, or a negative retry
     budget — never for worker-side failures, which are always folded into
     :class:`~repro.eval.TaskOutcome` records instead of raised.
@@ -76,11 +77,11 @@ class SupervisorError(ReproError):
 
 
 class SweepAborted(SupervisorError):
-    """A supervised sweep stopped early at its caller's request.
+    """A sweep stopped early at its caller's request.
 
     Raised between task completions when the job-level ``deadline_at``
     passes or the ``should_stop`` callback given to
-    :func:`~repro.eval.supervisor.run_sweep_supervised` returns a reason
+    :func:`~repro.eval.parallel.run_sweep_parallel` returns a reason
     (e.g. the owning service job was cancelled or expired).  Every outcome
     journaled before the abort is durable, so a later resumed run skips
     the finished work — aborting loses time, never results.

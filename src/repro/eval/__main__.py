@@ -25,7 +25,7 @@ code  meaning
 2     usage error (argparse: unknown experiment, bad flag combination)
 3     a solver budget was exhausted (:class:`~repro.errors.BudgetExceeded`)
 4     every degradation tier failed (:class:`~repro.errors.DegradationError`)
-5     sweep finished but the supervisor quarantined poison tasks
+5     sweep finished but the engine quarantined poison tasks
 6     verify: a structural invariant audit failed
 7     verify: a fixed-point width or overflow check failed
 8     verify: an equivalence check (exhaustive/differential/C model) failed
@@ -154,15 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(results are byte-identical to a serial run)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tasks handed to a worker per dispatch during parallel "
-             "precompute (default: auto-sized from task count and pool "
-             "width)",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="journal every completed design point to a crash-safe WAL "
-             "in DIR (enables the supervised engine and --resume)",
+             "in DIR (enables --resume)",
     )
     parser.add_argument(
         "--resume",
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="requeue a task at most N times after worker loss before "
-             "quarantining it (supervised engine; default 2)",
+             "quarantining it (default 2)",
     )
     parser.add_argument(
         "--trace",
@@ -764,16 +755,16 @@ def _run(args: argparse.Namespace) -> int:
     experiment_ids = (
         sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
-    supervised = (
-        args.journal_dir is not None
-        or args.resume
-        or args.max_retries is not None
-    )
     quarantined = 0
-    if supervised:
-        from .supervisor import run_sweep_supervised
+    if (
+        args.jobs is not None
+        or args.cache_dir is not None
+        or args.journal_dir is not None
+        or args.max_retries is not None
+    ):
+        from .parallel import run_sweep_parallel
 
-        report = run_sweep_supervised(
+        report = run_sweep_parallel(
             experiment_ids,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
@@ -787,9 +778,14 @@ def _run(args: argparse.Namespace) -> int:
         )
         stats = report.stats()
         quarantined = stats["tasks_quarantined"]
+        pool_note = (
+            "pool" if report.pool_used
+            else f"in-process: {report.fallback_reason or 'nothing pending'}"
+        )
         print(
-            f"[supervised: {stats['tasks_computed']} design points with "
-            f"{report.jobs} jobs in {report.precompute_s:.2f}s; "
+            f"[precompute: {stats['tasks_computed']} design points with "
+            f"{report.jobs} jobs in {report.precompute_s:.2f}s "
+            f"({pool_note}); "
             f"{stats['tasks_precached']}/{stats['tasks_planned']} cached "
             f"({stats['tasks_resumed']} from journal); "
             f"{stats['tasks_failed']} failed, {quarantined} quarantined, "
@@ -802,34 +798,6 @@ def _run(args: argparse.Namespace) -> int:
         )
         for outcome in report.quarantined_tasks:
             print(f"[quarantined: {outcome.error}]", file=sys.stderr)
-    elif args.jobs is not None or args.cache_dir is not None:
-        from .parallel import run_sweep_parallel
-
-        report = run_sweep_parallel(
-            experiment_ids,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            filter_indices=args.filters,
-            wordlengths=args.wordlengths,
-            task_deadline_s=args.task_deadline,
-            replay=False,
-            chunk_size=args.chunk_size,
-        )
-        stats = report.stats()
-        pool_note = (
-            f"pool chunk size {report.chunk_size}" if report.pool_used
-            else f"in-process ({report.fallback_reason or 'nothing pending'})"
-        )
-        print(
-            f"[precomputed {stats['tasks_computed']} design points "
-            f"with {report.jobs} jobs in {report.precompute_s:.2f}s; "
-            f"{stats['tasks_precached']}/{stats['tasks_planned']} were "
-            f"already cached; {stats['tasks_failed']} failed; {pool_note}]"
-        )
-        print(
-            f"[cache: {stats['cache_put_errors']} put errors, "
-            f"{stats['cache_quarantined']} quarantined entries]"
-        )
     for experiment_id in experiment_ids:
         result = run_experiment(
             experiment_id,

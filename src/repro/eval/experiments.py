@@ -73,6 +73,18 @@ def clear_cache() -> None:
     _MEMORY_STATS.hits = _MEMORY_STATS.misses = _MEMORY_STATS.stores = 0
 
 
+def _store_memory(key: Tuple, result: "MethodResult") -> None:
+    """Insert one result into the memory layer and count the store.
+
+    Every memory-layer insert goes through here, so
+    ``cache_info()["memory"]["stores"]`` and the
+    ``repro_cache_stores_total{layer="memory"}`` counter always agree.
+    """
+    _CACHE[key] = result
+    _MEMORY_STATS.stores += 1
+    obs_metrics.counter("repro_cache_stores_total", layer="memory").inc()
+
+
 def cache_info() -> Dict[str, object]:
     """Statistics for both cache layers (memory always, disk when active).
 
@@ -283,11 +295,7 @@ def _method_result(
         payload = persistent.get(content_key)
         if payload is not None:
             result = disk_cache.decode_method_result(payload)
-            _CACHE[key] = result
-            _MEMORY_STATS.stores += 1
-            obs_metrics.counter(
-                "repro_cache_stores_total", layer="memory"
-            ).inc()
+            _store_memory(key, result)
             return result
     seed_size: Optional[Tuple[int, int]] = None
     if method == "simple":
@@ -333,9 +341,7 @@ def _method_result(
         cla_weighted=weighted_adder_cost(netlist, input_bits, CARRY_LOOKAHEAD),
         seed_size=seed_size,
     )
-    _CACHE[key] = result
-    _MEMORY_STATS.stores += 1
-    obs_metrics.counter("repro_cache_stores_total", layer="memory").inc()
+    _store_memory(key, result)
     if persistent is not None and content_key is not None:
         # A failed persist (ENOSPC, permissions, chaos fault) must never
         # fail the computation that succeeded — the result is already in

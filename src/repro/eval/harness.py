@@ -125,9 +125,6 @@ def run_sweep(
     robust: bool = True,
     filter_indices: Optional[Sequence[int]] = None,
     wordlengths: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    task_deadline_s: Optional[float] = None,
 ) -> Tuple[SweepOutcome, ...]:
     """Run several experiments, surviving individual-instance failures.
 
@@ -137,24 +134,11 @@ def run_sweep(
     instance no longer aborts a whole benchmark run.  With ``robust=False``
     the first failure propagates (the historical behavior).
 
-    ``jobs``, ``cache_dir``, and ``task_deadline_s`` hand the sweep to
-    :func:`repro.eval.parallel.run_sweep_parallel`: design points are
-    precomputed across a process pool and/or a persistent disk cache, then
-    the experiments replay serially over the warm caches — the returned
-    outcomes are byte-identical to a plain serial run.
+    This is the serial path.  For worker processes, a persistent disk cache
+    or per-task deadlines use :func:`repro.eval.parallel.run_sweep_parallel`,
+    whose replay phase calls this function over the warm caches, so its
+    outcomes are byte-identical to these.
     """
-    if jobs is not None or cache_dir is not None or task_deadline_s is not None:
-        from .parallel import run_sweep_parallel
-
-        return run_sweep_parallel(
-            experiment_ids,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            robust=robust,
-            filter_indices=filter_indices,
-            wordlengths=wordlengths,
-            task_deadline_s=task_deadline_s,
-        ).outcomes
     ids = (
         list(experiment_ids) if experiment_ids is not None
         else sorted(EXPERIMENTS)

@@ -1,71 +1,97 @@
-"""Process-pool sweep execution with byte-identical serial semantics.
+"""The sweep engine: parallel, journaled precompute with serial-byte output.
 
-The sweep engine splits :func:`repro.eval.run_sweep` into two phases:
+:func:`run_sweep_parallel` is the one entry point every sweep goes through —
+the CLI, the job service and the benchmarks.  It splits
+:func:`repro.eval.run_sweep` into two phases:
 
 1. **Precompute** — every (filter, wordlength, scaling, representation,
    method, depth-limit) design point needed by the requested experiments is
    enumerated (deterministically, deduplicated), and the points not already
-   in a cache layer are scattered across a
-   :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker computes
-   the point through the very same :func:`~repro.eval.experiments._method_result`
-   code path as a serial run, under an optional per-task
-   :class:`~repro.robust.SolverBudget` so one pathological instance fails
-   fast instead of stalling its shard, and persists the result to the shared
-   disk cache (:mod:`repro.eval.cache`).
+   in a cache layer are computed, in worker processes when
+   :func:`pool_decision` says a pool can win and in-process otherwise.  Each
+   point goes through the very same
+   :func:`~repro.eval.experiments._method_result` code path as a serial run,
+   under an optional per-task :class:`~repro.robust.SolverBudget` so one
+   pathological instance fails fast, and is persisted to the shared disk
+   cache (:mod:`repro.eval.cache`).
 
 2. **Replay** — the experiments then run serially in the parent over the
    warm caches.  Because the replay *is* the serial code path (synthesis is
-   fully deterministic, and any point a worker failed to produce is simply
-   recomputed inline), parallel output is byte-identical to a serial run by
+   fully deterministic, and any point precompute failed to produce is
+   simply recomputed inline), output is byte-identical to a serial run by
    construction — there is no merge step that could reorder or reformat
    anything.
 
-On a single-core host the pool degenerates gracefully: the engine still
-works, the disk cache still eliminates recomputation across runs, and
-``jobs=1`` runs the same two phases without a pool (useful for
-apples-to-apples benchmarking of the engine overhead).
+Precompute survives the failures that long sweeps meet:
+
+* **Journaling** — with ``journal_dir`` every terminal :class:`TaskOutcome`
+  is appended to a per-sweep write-ahead log
+  (:class:`~repro.eval.supervisor.SweepJournal`) before it counts as
+  durable; ``resume=True`` replays the journal, hydrates the in-memory
+  cache from completed points, and schedules only what is left.
+
+* **Worker-loss recovery** — pool tasks are submitted individually in
+  waves; when a worker dies (the OOM killer, any SIGKILL) the pool is
+  rebuilt after a :func:`~repro.eval.supervisor.decorrelated_backoff`
+  delay and the lost tasks are re-probed one at a time.  A task that keeps
+  killing workers is **quarantined** after ``max_retries`` strikes instead
+  of being retried forever or aborting the sweep.
+
+* **Chaos validation** — a :class:`~repro.robust.ProcessFaultPlan` threads
+  deterministic process-level faults (real worker SIGKILLs, straggler
+  sleeps, cache-write corruption/ENOSPC) through the workers, so recovery
+  is tested under replayable fault sequences.
 """
 
 from __future__ import annotations
 
-import math
 import os
+import random
 import time
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import wait as _futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..errors import ReproError
+from ..errors import ReproError, SupervisorError, SweepAborted
 from ..fastpath import msdtables as fast_tables
 from ..filters import TABLE1_SPECS
 from ..numrep import Representation
 from ..obs import metrics as obs_metrics
 from ..obs import span as obs_span
 from ..quantize import ScalingScheme
+from ..robust.chaos import ProcessFaultPlan
 from . import cache as disk_cache
 from . import experiments
 from .experiments import WORDLENGTHS
+from .supervisor import (
+    SweepJournal,
+    _NullJournal,
+    decorrelated_backoff,
+    sweep_signature,
+    task_key,
+)
 
 __all__ = [
     "ParallelSweepReport",
     "SweepTask",
     "TaskOutcome",
-    "auto_chunk_size",
     "plan_tasks",
     "pool_decision",
     "run_sweep_parallel",
+    "run_sweep_supervised",
 ]
 
-#: Target number of map() chunks handed to each worker over a sweep: one
-#: chunk per worker amortizes IPC best but stragglers idle the pool at the
-#: tail, so the auto size aims for a few waves per worker.
-CHUNKS_PER_WORKER = 4
-
-#: Env override for the serial-fallback threshold (tasks); mirrors the
-#: ``min_parallel_tasks`` parameter for deployments that cannot touch code.
-MIN_POOL_TASKS_ENV = "REPRO_MIN_POOL_TASKS"
+#: Pool-rebuild delays after worker loss: the first delay, the growth
+#: factor of the :func:`~repro.eval.supervisor.decorrelated_backoff`
+#: envelope, and its cap (seconds).
+BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 2.0
 
 
 @dataclass(frozen=True, order=True)
@@ -87,9 +113,8 @@ class TaskOutcome:
     ``traceback`` carries the full worker-side traceback string for failed
     tasks — ``repr(exc)`` alone is useless when the exception crossed a
     process boundary and the frames are gone.  ``attempts`` counts how many
-    times the supervisor scheduled the task (1 for unsupervised runs);
-    ``quarantined`` marks a task the supervisor gave up on after it
-    repeatedly killed workers.
+    times the engine scheduled the task; ``quarantined`` marks a task the
+    engine gave up on after it repeatedly killed workers.
     """
 
     task: SweepTask
@@ -245,25 +270,10 @@ def _compute_task(
         )
 
 
-def auto_chunk_size(pending: int, workers: int) -> int:
-    """Map() chunk size amortizing pool IPC over ``pending`` tasks.
-
-    Aims for :data:`CHUNKS_PER_WORKER` chunks per worker — large enough that
-    per-task pickling/dispatch overhead stops dominating sub-100ms tasks,
-    small enough that a straggler chunk cannot idle the rest of the pool for
-    long.
-    """
-    if pending <= 0 or workers <= 0:
-        return 1
-    return max(1, math.ceil(pending / (workers * CHUNKS_PER_WORKER)))
-
-
 def pool_decision(
-    pending: int,
-    jobs: int,
-    min_parallel_tasks: Optional[int] = None,
+    pending: int, jobs: int, journaled: bool = False
 ) -> Tuple[bool, Optional[str]]:
-    """Whether a process pool can win for this sweep, and why not if not.
+    """Whether precompute runs in worker processes, and why not if not.
 
     Pool spin-up costs several hundred milliseconds per worker (interpreter
     boot + package import); BENCH_sweep measured cold parallel at 0.52x of
@@ -273,34 +283,35 @@ def pool_decision(
 
     * ``jobs <= 1`` — caller asked for no pool;
     * a single-CPU host — workers only add overhead, never concurrency;
-    * fewer pending tasks than ``min_parallel_tasks`` (default
-      ``max(4, 2 * effective_workers)``, overridable via the
-      ``REPRO_MIN_POOL_TASKS`` env var).
+    * fewer pending tasks than ``max(4, 2 * effective_workers)``.
+
+    A ``journaled`` sweep with ``jobs > 1`` always gets the pool: journaled
+    sweeps are the long-lived ones (the job service, ``--journal-dir``), and
+    only a worker process keeps a task that kills its process from taking
+    the sweep down with it.
     """
     if jobs <= 1:
         return False, "jobs <= 1"
+    if journaled:
+        return True, None
     effective = min(jobs, os.cpu_count() or 1)
     if effective <= 1:
         return False, "single-CPU host"
-    if min_parallel_tasks is None:
-        raw = os.environ.get(MIN_POOL_TASKS_ENV, "")
-        min_parallel_tasks = (
-            int(raw) if raw.strip().isdigit() else max(4, 2 * effective)
-        )
-    if pending < min_parallel_tasks:
+    threshold = max(4, 2 * effective)
+    if pending < threshold:
         return False, (
-            f"{pending} pending tasks below pool threshold "
-            f"{min_parallel_tasks}"
+            f"{pending} pending tasks below pool threshold {threshold}"
         )
     return True, None
 
 
 def _worker_init(
     cache_dir: Optional[str],
+    chaos: Optional[ProcessFaultPlan],
     obs_args: Optional[Tuple[str, bool]] = None,
     msd_snapshot: Optional[Tuple] = None,
 ) -> None:
-    """Pool initializer: shared disk cache, observability, warm MSD tables.
+    """Pool initializer: disk cache, chaos arming, obs, warm MSD tables.
 
     ``msd_snapshot`` hands the parent's memoized MSD digit tables to the
     worker — a no-op under the fork start method (the tables are inherited),
@@ -310,24 +321,286 @@ def _worker_init(
     disk_cache.configure(cache_dir)
     obs.worker_configure(obs_args)
     fast_tables.restore_tables(msd_snapshot)
+    if chaos is not None:
+        injector = chaos.cache_injector()
+        if injector is not None:
+            disk_cache.install_fault_injector(injector)
 
 
-def _worker_run(args: Tuple[SweepTask, Optional[float]]) -> TaskOutcome:
-    task, deadline_s = args
-    outcome = _compute_task(task, deadline_s)
+def _effective_deadline(
+    deadline_s: Optional[float], deadline_at: Optional[float]
+) -> Optional[float]:
+    """Per-task budget recomputed at task start from the job-level clock.
+
+    The whole-sweep ``deadline_at`` (wall-clock epoch, comparable across
+    processes) caps each task's deadline at the job's *remaining* time, so
+    late tasks get smaller budgets and an N-task sweep cannot run
+    ``N x deadline_s`` past its job deadline.  The floor keeps an
+    already-over-deadline task failing fast instead of dividing by zero.
+    """
+    if deadline_at is None:
+        return deadline_s
+    remaining = deadline_at - time.time()
+    if deadline_s is not None:
+        remaining = min(deadline_s, remaining)
+    return max(0.05, remaining)
+
+
+def _worker_run(
+    args: Tuple[
+        SweepTask, Optional[float], int, Optional[ProcessFaultPlan],
+        Optional[float],
+    ],
+) -> TaskOutcome:
+    task, deadline_s, attempt, chaos, deadline_at = args
+    if chaos is not None:
+        chaos.apply_worker_faults(task_key(task), attempt)
+    outcome = _compute_task(task, _effective_deadline(deadline_s, deadline_at))
     obs.worker_checkpoint()
     return outcome
 
 
+def _quarantine_outcome(task: SweepTask, attempts: int) -> TaskOutcome:
+    return TaskOutcome(
+        task=task,
+        payload=None,
+        error_type="WorkerLost",
+        error=(
+            f"task {task_key(task)} was in flight for {attempts} broken "
+            f"pools; quarantined as a suspected worker killer"
+        ),
+        elapsed_s=0.0,
+        attempts=attempts,
+        quarantined=True,
+    )
+
+
+def _precompute_in_process(
+    pending: Sequence[SweepTask],
+    deadline_s: Optional[float],
+    journal,
+    chaos: Optional[ProcessFaultPlan],
+    deadline_at: Optional[float] = None,
+    check_abort: Optional[Callable[[], Optional[str]]] = None,
+) -> List[TaskOutcome]:
+    """No-pool path: nothing to lose to a worker, but journaling applies.
+
+    Worker-kill faults are *not* fired here — they would SIGKILL the parent
+    itself, which is the scenario the journal (not the pool loop) protects
+    against; slow and cache-write faults still fire.
+    """
+    injector = chaos.cache_injector() if chaos is not None else None
+    previous = (
+        disk_cache.install_fault_injector(injector)
+        if injector is not None else None
+    )
+    results: List[TaskOutcome] = []
+    try:
+        for task in pending:
+            if check_abort is not None:
+                reason = check_abort()
+                if reason is not None:
+                    raise SweepAborted(reason)
+            if chaos is not None:
+                delay = chaos.slow_delay(task_key(task))
+                if delay > 0.0:
+                    time.sleep(delay)
+            outcome = _compute_task(
+                task, _effective_deadline(deadline_s, deadline_at)
+            )
+            journal.append(outcome)
+            results.append(outcome)
+    finally:
+        if injector is not None:
+            disk_cache.install_fault_injector(previous)
+    return results
+
+
+def _run_wave(
+    batch: Sequence[SweepTask],
+    workers: int,
+    worker_dir: Optional[str],
+    deadline_s: Optional[float],
+    attempts: Dict[SweepTask, int],
+    chaos: Optional[ProcessFaultPlan],
+    journal,
+    results: List[TaskOutcome],
+    deadline_at: Optional[float] = None,
+    check_abort: Optional[Callable[[], Optional[str]]] = None,
+) -> List[SweepTask]:
+    """Submit one batch to a fresh pool; returns the tasks lost to a break.
+
+    Completed outcomes (including worker-side failures, which arrive as
+    error-carrying :class:`TaskOutcome`\\ s, and submission-side errors such
+    as unpicklable arguments) are journaled and appended to ``results``
+    as they complete; only tasks whose future died with
+    :class:`BrokenProcessPool` are returned for the caller to triage.
+
+    ``check_abort`` is polled between completions; a non-``None`` reason
+    raises :class:`~repro.errors.SweepAborted` after cancelling every
+    not-yet-started future (in-flight tasks still finish inside their own
+    per-task deadline, so the overshoot past an abort is bounded by one
+    task budget, not the whole remaining batch).
+    """
+    lost: List[SweepTask] = []
+    abort_reason: Optional[str] = None
+    # The wave span is open when worker_args() snapshots the trace context
+    # below, so every worker's sweep.task spans link to *this* wave.
+    with obs_span(
+        "sweep.wave", workers=workers, batch=len(batch)
+    ) as wave_span:
+        executor = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(
+                worker_dir, chaos, obs.worker_args(),
+                fast_tables.table_snapshot(),
+            ),
+        )
+        future_map = {
+            executor.submit(
+                _worker_run,
+                (task, deadline_s, attempts[task], chaos, deadline_at),
+            ): task
+            for task in batch
+        }
+        try:
+            outstanding = set(future_map)
+            while outstanding:
+                if check_abort is not None:
+                    abort_reason = check_abort()
+                    if abort_reason is not None:
+                        break
+                done, outstanding = _futures_wait(
+                    outstanding,
+                    timeout=0.25 if check_abort is not None else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in done:
+                    task = future_map[future]
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool:
+                        lost.append(task)
+                    except Exception as exc:  # noqa: BLE001 — e.g. pickling
+                        outcome = TaskOutcome(
+                            task=task,
+                            payload=None,
+                            error_type=type(exc).__name__,
+                            error=str(exc),
+                            elapsed_s=0.0,
+                            attempts=attempts[task] + 1,
+                        )
+                        journal.append(outcome)
+                        results.append(outcome)
+                    else:
+                        outcome = replace(
+                            outcome, attempts=attempts[task] + 1
+                        )
+                        journal.append(outcome)
+                        results.append(outcome)
+        finally:
+            executor.shutdown(wait=True, cancel_futures=True)
+        wave_span.set_tag("lost", len(lost))
+    if abort_reason is not None:
+        raise SweepAborted(abort_reason)
+    return lost
+
+
+def _precompute_pool(
+    pending: Sequence[SweepTask],
+    jobs: int,
+    deadline_s: Optional[float],
+    journal,
+    chaos: Optional[ProcessFaultPlan],
+    max_retries: int,
+    deadline_at: Optional[float] = None,
+    check_abort: Optional[Callable[[], Optional[str]]] = None,
+) -> Tuple[List[TaskOutcome], int, int]:
+    """Pool execution with worker-loss recovery and poison attribution.
+
+    Returns ``(results, retries, pool_rebuilds)``.  Fresh tasks run in
+    one shared wave at full width.  A broken pool fails *every* in-flight
+    future, so a shared-wave loss cannot tell the poison task from innocent
+    bystanders; lost tasks are therefore re-probed in **isolation** — one
+    task, one worker, one pool — where a second break implicates exactly
+    that task.  Each loss adds a strike to the task's ledger; a task
+    exceeding ``max_retries`` strikes is quarantined.  Innocents collect at
+    most the one shared-wave strike, so with ``max_retries >= 1`` only a
+    repeatedly-killing task can be quarantined.  Executor rebuilds are
+    spaced by :func:`~repro.eval.supervisor.decorrelated_backoff` to ride
+    out transient resource pressure (the OOM-killer case) without
+    recovering sweeps restarting in lockstep.
+    """
+    active = disk_cache.active_cache()
+    worker_dir = str(active.root) if active is not None else None
+    attempts: Dict[SweepTask, int] = {task: 0 for task in pending}
+    suspects: deque = deque()
+    results: List[TaskOutcome] = []
+    retries = 0
+    pool_rebuilds = 0
+    rng = random.Random()
+    previous_delay = BACKOFF_S
+
+    def strike(task: SweepTask) -> None:
+        nonlocal retries
+        attempts[task] += 1
+        if attempts[task] > max_retries:
+            outcome = _quarantine_outcome(task, attempts[task])
+            journal.append(outcome)
+            results.append(outcome)
+        else:
+            retries += 1
+            suspects.append(task)
+
+    def backoff() -> None:
+        nonlocal previous_delay
+        previous_delay = decorrelated_backoff(
+            previous_delay, BACKOFF_S, BACKOFF_FACTOR, MAX_BACKOFF_S, rng
+        )
+        if previous_delay > 0.0:
+            time.sleep(previous_delay)
+
+    # One full-width wave (pending is in plan order), then isolation probes
+    # until every suspect has settled.
+    lost = _run_wave(
+        pending, min(jobs, len(pending)), worker_dir, deadline_s,
+        attempts, chaos, journal, results, deadline_at, check_abort,
+    )
+    if lost:
+        pool_rebuilds += 1
+        with obs_span(
+            "supervisor.recover", kind="wave", lost=len(lost),
+            rebuilds=pool_rebuilds,
+        ):
+            for task in sorted(lost, key=_task_order):
+                strike(task)
+            backoff()
+    while suspects:
+        task = suspects.popleft()
+        lost = _run_wave(
+            [task], 1, worker_dir, deadline_s, attempts, chaos,
+            journal, results, deadline_at, check_abort,
+        )
+        if lost:
+            pool_rebuilds += 1
+            with obs_span(
+                "supervisor.recover", kind="isolation", lost=1,
+                rebuilds=pool_rebuilds,
+            ):
+                strike(task)
+                backoff()
+    return results, retries, pool_rebuilds
+
+
 @dataclass(frozen=True)
 class ParallelSweepReport:
-    """Everything a parallel sweep did: results, sharding story, timings.
+    """Everything a sweep did: results, sharding story, timings.
 
-    The supervised layer (:mod:`repro.eval.supervisor`) reuses this shape
-    and additionally fills the recovery counters: ``retries`` (task
-    re-executions after worker loss), ``pool_rebuilds`` (executors replaced
-    after a ``BrokenProcessPool``), ``tasks_resumed`` (outcomes replayed
-    from the journal instead of recomputed), and ``journal_path``.
+    The recovery counters are ``retries`` (task re-executions after worker
+    loss), ``pool_rebuilds`` (executors replaced after a
+    ``BrokenProcessPool``), ``tasks_resumed`` (outcomes replayed from the
+    journal instead of recomputed), and ``journal_path``.
     """
 
     outcomes: Tuple  # SweepOutcome per experiment ('' replay skipped → empty)
@@ -344,11 +617,9 @@ class ParallelSweepReport:
     pool_rebuilds: int = 0
     tasks_resumed: int = 0
     journal_path: Optional[str] = None
-    #: Whether precompute actually used a process pool, the map() chunk size
-    #: it used (0 without a pool), and — when it fell back to in-process
-    #: execution despite ``jobs > 1`` — the :func:`pool_decision` reason.
+    #: Whether precompute actually used a process pool and — when it ran
+    #: in-process — the :func:`pool_decision` reason.
     pool_used: bool = False
-    chunk_size: int = 0
     fallback_reason: Optional[str] = None
 
     @property
@@ -358,7 +629,7 @@ class ParallelSweepReport:
 
     @property
     def quarantined_tasks(self) -> Tuple[TaskOutcome, ...]:
-        """Tasks the supervisor gave up on after repeated worker kills."""
+        """Tasks the engine gave up on after repeated worker kills."""
         return tuple(t for t in self.tasks if t.quarantined)
 
     def stats(self) -> Dict[str, object]:
@@ -366,8 +637,8 @@ class ParallelSweepReport:
 
         ``cache_put_errors`` and ``cache_quarantined`` surface the uniform
         failure counters of :func:`repro.eval.experiments.cache_info` at the
-        top level, so supervised and unsupervised reports expose them the
-        same way regardless of which cache layers were active.
+        top level, so every report exposes them the same way regardless of
+        which cache layers were active.
         """
         return {
             "jobs": self.jobs,
@@ -381,7 +652,6 @@ class ParallelSweepReport:
             "pool_rebuilds": self.pool_rebuilds,
             "journal_path": self.journal_path,
             "pool_used": self.pool_used,
-            "chunk_size": self.chunk_size,
             "fallback_reason": self.fallback_reason,
             "precompute_s": self.precompute_s,
             "replay_s": self.replay_s,
@@ -417,8 +687,7 @@ def _partition_tasks(
     """Split planned tasks into (pending, already-cached count).
 
     The disk-cache probe both counts warm points and promotes them to the
-    in-memory layer, so the replay phase touches no files for them.  Shared
-    by the plain parallel engine and the supervised layer.
+    in-memory layer, so the replay phase touches no files for them.
     """
     pending: List[SweepTask] = []
     precached = 0
@@ -433,10 +702,9 @@ def _partition_tasks(
                 Representation(task.representation), task.depth_limit, 16,
             ))
             if payload is not None:
-                experiments._CACHE[_memory_key(task)] = (
-                    disk_cache.decode_method_result(payload)
+                experiments._store_memory(
+                    _memory_key(task), disk_cache.decode_method_result(payload)
                 )
-                experiments._MEMORY_STATS.stores += 1
                 precached += 1
                 continue
         pending.append(task)
@@ -444,19 +712,19 @@ def _partition_tasks(
 
 
 def _fold_results(results: Sequence[TaskOutcome]) -> None:
-    """Hydrate the parent's in-memory cache from worker payloads.
+    """Hydrate the parent's in-memory cache from worker or journal payloads.
 
     Disk writes already happened worker-side when a cache is active; here we
     only fill the in-memory layer (results computed in-process already did).
+    The first payload per design point wins.
     """
     for outcome in results:
         if outcome.payload is not None:
             key = _memory_key(outcome.task)
             if key not in experiments._CACHE:
-                experiments._CACHE[key] = (
-                    disk_cache.decode_method_result(outcome.payload)
+                experiments._store_memory(
+                    key, disk_cache.decode_method_result(outcome.payload)
                 )
-                experiments._MEMORY_STATS.stores += 1
 
 
 def _record_sweep_metrics(report: "ParallelSweepReport") -> None:
@@ -506,27 +774,42 @@ def run_sweep_parallel(
     wordlengths: Optional[Sequence[int]] = None,
     task_deadline_s: Optional[float] = None,
     replay: bool = True,
-    chunk_size: Optional[int] = None,
-    min_parallel_tasks: Optional[int] = None,
+    journal_dir: Optional[os.PathLike] = None,
+    resume: bool = False,
+    max_retries: int = 2,
+    chaos: Optional[ProcessFaultPlan] = None,
+    deadline_at: Optional[float] = None,
+    should_stop: Optional[Callable[[], Optional[str]]] = None,
 ) -> ParallelSweepReport:
-    """Run a sweep with parallel precompute; results match serial bytes.
+    """Run a sweep: plan, partition, precompute, fold, replay, report.
 
-    ``jobs`` defaults to the host CPU count; ``jobs <= 1`` precomputes
-    in-process (no pool).  Even with ``jobs > 1`` the engine consults
-    :func:`pool_decision` and silently precomputes in-process when a pool
-    cannot win (single-CPU host, or fewer pending tasks than
-    ``min_parallel_tasks``) — the fallback runs the identical code path, so
-    only timing changes.  ``chunk_size`` sets the number of tasks handed to
-    a worker per dispatch (default: :func:`auto_chunk_size`).  ``cache_dir``
-    installs a persistent :class:`~repro.eval.cache.DiskCache` shared by
-    parent and workers for the duration of the call (and left installed
-    afterwards, so subsequent serial runs stay warm).  ``task_deadline_s``
-    bounds each design point with a :class:`~repro.robust.SolverBudget`; a
-    point that exhausts its budget is recorded in ``report.tasks`` and
-    recomputed — unbudgeted, exactly as a serial run would — during replay.
-    With ``replay=False`` only the precompute phase runs
-    (``report.outcomes`` is empty); use this to warm caches before driving
-    experiments through other entry points.
+    ``jobs`` defaults to the host CPU count.  :func:`pool_decision` picks
+    worker processes or in-process precompute; both run the identical code
+    path, so only timing changes.  ``cache_dir`` installs a persistent
+    :class:`~repro.eval.cache.DiskCache` shared by parent and workers for
+    the duration of the call (and left installed afterwards, so subsequent
+    serial runs stay warm).  ``task_deadline_s`` bounds each design point
+    with a :class:`~repro.robust.SolverBudget`; a point that exhausts its
+    budget is recorded in ``report.tasks`` and recomputed — unbudgeted,
+    exactly as a serial run would — during replay.  With ``replay=False``
+    only the precompute phase runs (``report.outcomes`` is empty); use this
+    to warm caches before driving experiments through other entry points.
+
+    ``journal_dir`` journals every finished task and ``resume`` replays a
+    previous journal of the same sweep; ``max_retries`` bounds how often a
+    task lost with its worker is re-run before it is quarantined; ``chaos``
+    injects process-level faults.  The returned
+    :class:`ParallelSweepReport` carries the recovery counters and any
+    quarantined tasks.
+
+    ``deadline_at`` is a whole-sweep wall-clock bound (``time.time()``
+    epoch): each task's effective deadline is recomputed at task start as
+    ``min(task_deadline_s, deadline_at - now)``, and the parent re-checks
+    the clock between task completions, raising
+    :class:`~repro.errors.SweepAborted` once it passes.  ``should_stop``
+    is polled at the same checkpoints and aborts with its returned reason
+    when non-``None`` (e.g. a job service observing a cancelled job).
+    Aborting never loses journaled outcomes — a resumed run skips them.
     """
     from .harness import run_sweep
 
@@ -535,65 +818,99 @@ def run_sweep_parallel(
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
+    if max_retries < 0:
+        raise SupervisorError(f"max_retries must be >= 0, got {max_retries}")
+    if resume and journal_dir is None:
+        raise SupervisorError("resume=True requires journal_dir")
+
+    check_abort: Optional[Callable[[], Optional[str]]] = None
+    if deadline_at is not None or should_stop is not None:
+        def check_abort() -> Optional[str]:
+            if deadline_at is not None and time.time() >= deadline_at:
+                return (
+                    f"sweep deadline passed "
+                    f"({time.time() - deadline_at:.1f}s over)"
+                )
+            if should_stop is not None:
+                return should_stop()
+            return None
 
     started = time.monotonic()
     if cache_dir is not None:
         disk_cache.configure(cache_dir)
 
     tasks = plan_tasks(ids, filter_indices, wordlengths)
+
+    journal = _NullJournal()
+    resumed_outcomes: List[TaskOutcome] = []
+    if journal_dir is not None:
+        signature = sweep_signature(ids, filter_indices, wordlengths)
+        if resume:
+            journal, resumed_outcomes = SweepJournal.resume(
+                journal_dir, signature
+            )
+        else:
+            journal = SweepJournal.create(journal_dir, signature)
+
+    # Hydrate the in-memory cache from journaled completions, then let the
+    # ordinary partition count them as precached.  Failed or quarantined
+    # journal records are *not* replayed — a crash environment is exactly
+    # when transient failures happen, so those points get a fresh chance.
+    task_set = set(tasks)
+    replayed = [o for o in resumed_outcomes if o.ok and o.task in task_set]
+    _fold_results(replayed)
+    tasks_resumed = len({o.task for o in replayed})
+    if resume:
+        obs.event(
+            "journal.resume",
+            journal=str(journal.path),
+            replayed=len(resumed_outcomes),
+            resumed=tasks_resumed,
+        )
+
     pending, precached = _partition_tasks(tasks)
 
     precompute_started = time.monotonic()
-    active = disk_cache.active_cache()
     results: List[TaskOutcome] = []
+    retries = 0
+    pool_rebuilds = 0
     pool_used = False
-    used_chunk = 0
     fallback_reason: Optional[str] = None
-    if pending:
-        use_pool, fallback_reason = pool_decision(
-            len(pending), jobs, min_parallel_tasks
-        )
-        if use_pool:
-            workers = min(jobs, len(pending))
-            used_chunk = (
-                chunk_size if chunk_size and chunk_size > 0
-                else auto_chunk_size(len(pending), workers)
+    try:
+        if pending:
+            pool_used, fallback_reason = pool_decision(
+                len(pending), jobs, journaled=journal_dir is not None
             )
-            worker_dir = str(active.root) if active is not None else None
-            pool_used = True
-            # worker_args() runs inside this span, so every worker's
-            # sweep.task roots link to it and share this trace's id.
             with obs_span(
-                "sweep.precompute", jobs=jobs, workers=workers,
-                pending=len(pending), chunk_size=used_chunk,
+                "sweep.precompute", jobs=jobs, pending=len(pending),
+                pool=pool_used, fallback=fallback_reason,
             ):
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_worker_init,
-                    initargs=(
-                        worker_dir,
-                        obs.worker_args(),
-                        fast_tables.table_snapshot(),
-                    ),
-                ) as pool:
-                    results = list(pool.map(
-                        _worker_run,
-                        [(task, task_deadline_s) for task in pending],
-                        chunksize=used_chunk,
-                    ))
-            obs.drain_spill()
-        else:
-            with obs_span(
-                "sweep.precompute", jobs=1, pending=len(pending),
-                fallback=fallback_reason,
-            ):
-                results = [
-                    _compute_task(t, task_deadline_s) for t in pending
-                ]
+                if pool_used:
+                    results, retries, pool_rebuilds = _precompute_pool(
+                        pending, jobs, task_deadline_s, journal, chaos,
+                        max_retries, deadline_at, check_abort,
+                    )
+                else:
+                    results = _precompute_in_process(
+                        pending, task_deadline_s, journal, chaos,
+                        deadline_at, check_abort,
+                    )
+            if pool_used:
+                obs.drain_spill()
+    finally:
+        journal.close()
     precompute_s = time.monotonic() - precompute_started
 
     _fold_results(results)
     stage_timings = _stage_timings(results)
+
+    # Last checkpoint before the (undeadlined, serial) replay phase: an
+    # abort that fired while the final tasks drained must not be absorbed
+    # into a full replay over cold points.
+    if check_abort is not None:
+        reason = check_abort()
+        if reason is not None:
+            raise SweepAborted(reason)
 
     replay_started = time.monotonic()
     outcomes: Tuple = ()
@@ -616,12 +933,19 @@ def run_sweep_parallel(
         total_s=time.monotonic() - started,
         stage_timings=stage_timings,
         cache=experiments.cache_info(),
+        retries=retries,
+        pool_rebuilds=pool_rebuilds,
+        tasks_resumed=tasks_resumed,
+        journal_path=str(journal.path) if journal.path is not None else None,
         pool_used=pool_used,
-        chunk_size=used_chunk,
         fallback_reason=fallback_reason,
     )
     _record_sweep_metrics(report)
     return report
+
+
+#: The job service's historical name for the engine.
+run_sweep_supervised = run_sweep_parallel
 
 
 def _task_integers(task: SweepTask) -> Tuple[int, ...]:

@@ -1,80 +1,37 @@
-"""Crash-resilient supervised execution over the parallel sweep engine.
+"""Sweep journal and pool-rebuild backoff helpers for the sweep engine.
 
-:func:`repro.eval.parallel.run_sweep_parallel` assumes a well-behaved world:
-every worker lives to return its :class:`~repro.eval.parallel.TaskOutcome`,
-and the parent survives to fold them.  A worker taken out by the OOM killer
-(or any SIGKILL) raises :class:`~concurrent.futures.process.BrokenProcessPool`
-and aborts the whole sweep, discarding every completed point; a killed
-parent loses everything not yet in the disk cache.  For sweeps that run for
-hours, both are unacceptable.  This module supervises the precompute phase:
+:func:`repro.eval.parallel.run_sweep_parallel` journals every terminal
+:class:`~repro.eval.parallel.TaskOutcome` to a per-sweep write-ahead log
+(:class:`SweepJournal`): one checksummed JSON line per record, flushed and
+``fsync``'d before the outcome is considered durable.  ``resume=True``
+replays the journal — discarding a torn tail from a mid-write crash — so an
+interrupted sweep only recomputes what never reached disk.
+:func:`sweep_signature` binds a journal file to one sweep shape under one
+code version, and :func:`task_key` names a design point for chaos plans and
+logs.
 
-* **Journaling** — every terminal :class:`TaskOutcome` is appended to a
-  per-sweep write-ahead log (:class:`SweepJournal`): one checksummed JSON
-  line per record, flushed and ``fsync``'d before the outcome is considered
-  durable.  ``resume=True`` replays the journal — discarding a torn tail
-  from a mid-write crash — hydrates the in-memory cache from completed
-  points, and schedules only what is left.
-
-* **Worker-loss recovery** — tasks are submitted individually; when the
-  pool breaks, the executor is rebuilt after an exponential backoff and the
-  lost tasks are requeued with a bounded retry budget.  Attribution is
-  conservative (a broken pool fails every in-flight future, so innocent
-  bystanders of a poison task also burn an attempt), which is exactly what
-  bounds the damage: a task that exceeds ``max_retries`` lost attempts is
-  **quarantined** — recorded in the report with ``quarantined=True`` instead
-  of retried forever or allowed to crash the sweep.
-
-* **Chaos validation** — a :class:`~repro.robust.ProcessFaultPlan` threads
-  deterministic process-level faults (real worker SIGKILLs, straggler
-  sleeps, cache-write corruption/ENOSPC) through the workers, so the
-  supervisor itself is tested under replayable fault sequences.
-
-The replay phase is untouched: experiments still run serially in the parent
-over warm caches, so supervised output remains byte-identical to a serial
-run — quarantined or failed points are simply recomputed inline, exactly as
-the unsupervised engine does.
+:func:`decorrelated_backoff` spaces the engine's pool rebuilds after worker
+loss.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as _futures_wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
-from ..errors import ReproError, SupervisorError, SweepAborted
-from ..fastpath import msdtables as fast_tables
-from ..obs import span as obs_span
-from ..robust.chaos import ProcessFaultPlan
 from . import cache as disk_cache
-from . import experiments
-from .parallel import (
-    ParallelSweepReport,
-    SweepTask,
-    TaskOutcome,
-    _compute_task,
-    _fold_results,
-    _memory_key,
-    _partition_tasks,
-    _record_sweep_metrics,
-    _resolve_experiment_ids,
-    _stage_timings,
-    plan_tasks,
-)
 from .wal import ChecksumLog
+
+if TYPE_CHECKING:
+    from .parallel import SweepTask, TaskOutcome
 
 __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "SweepJournal",
     "decorrelated_backoff",
-    "run_sweep_supervised",
     "sweep_signature",
     "task_key",
 ]
@@ -128,6 +85,9 @@ def _encode_outcome(outcome: TaskOutcome) -> Dict[str, object]:
 
 
 def _decode_outcome(record: Dict[str, object]) -> TaskOutcome:
+    # The engine imports this module, so its types are imported lazily.
+    from .parallel import SweepTask, TaskOutcome
+
     task = SweepTask(**record["task"])
     return TaskOutcome(
         task=task,
@@ -253,481 +213,3 @@ def decorrelated_backoff(
     if upper <= lower:
         return lower
     return rng.uniform(lower, upper)
-
-
-# -- supervised precompute ---------------------------------------------------
-
-
-def _worker_init_supervised(
-    cache_dir: Optional[str],
-    chaos: Optional[ProcessFaultPlan],
-    obs_args: Optional[Tuple[str, bool]] = None,
-    msd_snapshot: Optional[Tuple] = None,
-) -> None:
-    """Pool initializer: disk cache, chaos arming, obs, warm MSD tables."""
-    disk_cache.configure(cache_dir)
-    obs.worker_configure(obs_args)
-    fast_tables.restore_tables(msd_snapshot)
-    if chaos is not None:
-        injector = chaos.cache_injector()
-        if injector is not None:
-            disk_cache.install_fault_injector(injector)
-
-
-def _effective_deadline(
-    deadline_s: Optional[float], deadline_at: Optional[float]
-) -> Optional[float]:
-    """Per-task budget recomputed at task start from the job-level clock.
-
-    The whole-sweep ``deadline_at`` (wall-clock epoch, comparable across
-    processes) caps each task's deadline at the job's *remaining* time, so
-    late tasks get smaller budgets and an N-task sweep cannot run
-    ``N x deadline_s`` past its job deadline.  The floor keeps an
-    already-over-deadline task failing fast instead of dividing by zero.
-    """
-    if deadline_at is None:
-        return deadline_s
-    remaining = deadline_at - time.time()
-    if deadline_s is not None:
-        remaining = min(deadline_s, remaining)
-    return max(0.05, remaining)
-
-
-def _worker_run_supervised(
-    args: Tuple[
-        SweepTask, Optional[float], int, Optional[ProcessFaultPlan],
-        Optional[float],
-    ],
-) -> TaskOutcome:
-    task, deadline_s, attempt, chaos, deadline_at = args
-    if chaos is not None:
-        chaos.apply_worker_faults(task_key(task), attempt)
-    outcome = _compute_task(task, _effective_deadline(deadline_s, deadline_at))
-    obs.worker_checkpoint()
-    return outcome
-
-
-def _quarantine_outcome(task: SweepTask, attempts: int) -> TaskOutcome:
-    return TaskOutcome(
-        task=task,
-        payload=None,
-        error_type="WorkerLost",
-        error=(
-            f"task {task_key(task)} was in flight for {attempts} broken "
-            f"pools; quarantined as a suspected worker killer"
-        ),
-        elapsed_s=0.0,
-        attempts=attempts,
-        quarantined=True,
-    )
-
-
-def _precompute_in_process(
-    pending: Sequence[SweepTask],
-    deadline_s: Optional[float],
-    journal,
-    chaos: Optional[ProcessFaultPlan],
-    deadline_at: Optional[float] = None,
-    check_abort: Optional[Callable[[], Optional[str]]] = None,
-) -> List[TaskOutcome]:
-    """``jobs=1`` path: no pool to lose, but journaling still applies.
-
-    Worker-kill faults are *not* fired here — they would SIGKILL the parent
-    itself, which is the scenario the journal (not the supervisor loop)
-    protects against; slow and cache-write faults still fire.
-    """
-    injector = chaos.cache_injector() if chaos is not None else None
-    previous = (
-        disk_cache.install_fault_injector(injector)
-        if injector is not None else None
-    )
-    results: List[TaskOutcome] = []
-    try:
-        for task in pending:
-            if check_abort is not None:
-                reason = check_abort()
-                if reason is not None:
-                    raise SweepAborted(reason)
-            if chaos is not None:
-                delay = chaos.slow_delay(task_key(task))
-                if delay > 0.0:
-                    time.sleep(delay)
-            outcome = _compute_task(
-                task, _effective_deadline(deadline_s, deadline_at)
-            )
-            journal.append(outcome)
-            results.append(outcome)
-    finally:
-        if injector is not None:
-            disk_cache.install_fault_injector(previous)
-    return results
-
-
-def _run_wave(
-    batch: Sequence[SweepTask],
-    workers: int,
-    worker_dir: Optional[str],
-    deadline_s: Optional[float],
-    attempts: Dict[SweepTask, int],
-    chaos: Optional[ProcessFaultPlan],
-    journal,
-    results: List[TaskOutcome],
-    deadline_at: Optional[float] = None,
-    check_abort: Optional[Callable[[], Optional[str]]] = None,
-) -> List[SweepTask]:
-    """Submit one batch to a fresh pool; returns the tasks lost to a break.
-
-    Completed outcomes (including worker-side failures, which arrive as
-    error-carrying :class:`TaskOutcome`\\ s, and submission-side errors such
-    as unpicklable arguments) are journaled and appended to ``results``
-    as they complete; only tasks whose future died with
-    :class:`BrokenProcessPool` are returned for the caller to triage.
-
-    ``check_abort`` is polled between completions; a non-``None`` reason
-    raises :class:`~repro.errors.SweepAborted` after cancelling every
-    not-yet-started future (in-flight tasks still finish inside their own
-    per-task deadline, so the overshoot past an abort is bounded by one
-    task budget, not the whole remaining batch).
-    """
-    lost: List[SweepTask] = []
-    abort_reason: Optional[str] = None
-    # The wave span is open when worker_args() snapshots the trace context
-    # below, so every worker's sweep.task spans link to *this* wave.
-    with obs_span(
-        "sweep.wave", workers=workers, batch=len(batch)
-    ) as wave_span:
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init_supervised,
-            initargs=(
-                worker_dir, chaos, obs.worker_args(),
-                fast_tables.table_snapshot(),
-            ),
-        )
-        future_map = {
-            executor.submit(
-                _worker_run_supervised,
-                (task, deadline_s, attempts[task], chaos, deadline_at),
-            ): task
-            for task in batch
-        }
-        try:
-            outstanding = set(future_map)
-            while outstanding:
-                if check_abort is not None:
-                    abort_reason = check_abort()
-                    if abort_reason is not None:
-                        break
-                done, outstanding = _futures_wait(
-                    outstanding,
-                    timeout=0.25 if check_abort is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    task = future_map[future]
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        lost.append(task)
-                    except Exception as exc:  # noqa: BLE001 — e.g. pickling
-                        outcome = TaskOutcome(
-                            task=task,
-                            payload=None,
-                            error_type=type(exc).__name__,
-                            error=str(exc),
-                            elapsed_s=0.0,
-                            attempts=attempts[task] + 1,
-                        )
-                        journal.append(outcome)
-                        results.append(outcome)
-                    else:
-                        outcome = replace(
-                            outcome, attempts=attempts[task] + 1
-                        )
-                        journal.append(outcome)
-                        results.append(outcome)
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        wave_span.set_tag("lost", len(lost))
-    if abort_reason is not None:
-        raise SweepAborted(abort_reason)
-    return lost
-
-
-def _precompute_supervised(
-    pending: Sequence[SweepTask],
-    jobs: int,
-    deadline_s: Optional[float],
-    journal,
-    chaos: Optional[ProcessFaultPlan],
-    max_retries: int,
-    backoff_s: float,
-    backoff_factor: float,
-    max_backoff_s: float,
-    backoff_rng: Optional[random.Random] = None,
-    deadline_at: Optional[float] = None,
-    check_abort: Optional[Callable[[], Optional[str]]] = None,
-) -> Tuple[List[TaskOutcome], int, int]:
-    """Pool execution with worker-loss recovery and poison attribution.
-
-    Returns ``(results, retries, pool_rebuilds)``.  Fresh tasks run in
-    shared waves at full width.  A broken pool fails *every* in-flight
-    future, so a shared-wave loss cannot tell the poison task from innocent
-    bystanders; lost tasks are therefore re-probed in **isolation** — one
-    task, one worker, one pool — where a second break implicates exactly
-    that task.  Each loss adds a strike to the task's ledger; a task
-    exceeding ``max_retries`` strikes is quarantined.  Innocents collect at
-    most the one shared-wave strike, so with ``max_retries >= 1`` only a
-    repeatedly-killing task can be quarantined.  Executor rebuilds are
-    spaced by :func:`decorrelated_backoff` to ride out transient resource
-    pressure (the OOM-killer case) without recovering supervisors
-    restarting in lockstep.
-    """
-    active = disk_cache.active_cache()
-    worker_dir = str(active.root) if active is not None else None
-    attempts: Dict[SweepTask, int] = {task: 0 for task in pending}
-    queue = deque(sorted(pending))
-    suspects: deque = deque()
-    results: List[TaskOutcome] = []
-    retries = 0
-    pool_rebuilds = 0
-    rng = backoff_rng if backoff_rng is not None else random.Random()
-    previous_delay = backoff_s
-
-    def strike(task: SweepTask) -> None:
-        nonlocal retries
-        attempts[task] += 1
-        if attempts[task] > max_retries:
-            outcome = _quarantine_outcome(task, attempts[task])
-            journal.append(outcome)
-            results.append(outcome)
-        else:
-            retries += 1
-            suspects.append(task)
-
-    def backoff() -> None:
-        nonlocal previous_delay
-        previous_delay = decorrelated_backoff(
-            previous_delay, backoff_s, backoff_factor, max_backoff_s, rng
-        )
-        if previous_delay > 0.0:
-            time.sleep(previous_delay)
-
-    while queue or suspects:
-        # Isolation probes first: settle every suspect before committing a
-        # full-width pool that one of them could break again.
-        while suspects:
-            task = suspects.popleft()
-            lost = _run_wave(
-                [task], 1, worker_dir, deadline_s, attempts, chaos,
-                journal, results, deadline_at, check_abort,
-            )
-            if lost:
-                pool_rebuilds += 1
-                with obs_span(
-                    "supervisor.recover", kind="isolation", lost=1,
-                    rebuilds=pool_rebuilds,
-                ):
-                    strike(task)
-                    backoff()
-        if queue:
-            batch = sorted(queue)
-            queue.clear()
-            lost = _run_wave(
-                batch, min(jobs, len(batch)), worker_dir, deadline_s,
-                attempts, chaos, journal, results, deadline_at, check_abort,
-            )
-            if lost:
-                pool_rebuilds += 1
-                with obs_span(
-                    "supervisor.recover", kind="wave", lost=len(lost),
-                    rebuilds=pool_rebuilds,
-                ):
-                    for task in sorted(lost):
-                        strike(task)
-                    backoff()
-    return results, retries, pool_rebuilds
-
-
-def run_sweep_supervised(
-    experiment_ids: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[os.PathLike] = None,
-    robust: bool = True,
-    filter_indices: Optional[Sequence[int]] = None,
-    wordlengths: Optional[Sequence[int]] = None,
-    task_deadline_s: Optional[float] = None,
-    replay: bool = True,
-    journal_dir: Optional[os.PathLike] = None,
-    resume: bool = False,
-    max_retries: int = 2,
-    backoff_s: float = 0.05,
-    backoff_factor: float = 2.0,
-    max_backoff_s: float = 2.0,
-    chaos: Optional[ProcessFaultPlan] = None,
-    backoff_rng: Optional[random.Random] = None,
-    deadline_at: Optional[float] = None,
-    should_stop: Optional[Callable[[], Optional[str]]] = None,
-) -> ParallelSweepReport:
-    """Run a sweep under supervision; results still match serial bytes.
-
-    Superset of :func:`~repro.eval.parallel.run_sweep_parallel`: same
-    planning, cache layering, and replay semantics, plus journaling
-    (``journal_dir``/``resume``), bounded worker-loss recovery
-    (``max_retries``, ``backoff_*``), and optional process-level fault
-    injection (``chaos``).  The returned
-    :class:`~repro.eval.parallel.ParallelSweepReport` carries the recovery
-    counters and any quarantined tasks.
-
-    ``deadline_at`` is a whole-sweep wall-clock bound (``time.time()``
-    epoch): each task's effective deadline is recomputed at task start as
-    ``min(task_deadline_s, deadline_at - now)``, and the parent re-checks
-    the clock between task completions, raising
-    :class:`~repro.errors.SweepAborted` once it passes.  ``should_stop``
-    is polled at the same checkpoints and aborts with its returned reason
-    when non-``None`` (e.g. a job service observing a cancelled job).
-    Aborting never loses journaled outcomes — a resumed run skips them.
-    """
-    from .harness import run_sweep
-
-    ids = _resolve_experiment_ids(experiment_ids)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ReproError(f"jobs must be >= 1, got {jobs}")
-    if max_retries < 0:
-        raise SupervisorError(f"max_retries must be >= 0, got {max_retries}")
-    if backoff_s < 0.0 or max_backoff_s < 0.0 or backoff_factor < 1.0:
-        raise SupervisorError(
-            "backoff_s/max_backoff_s must be >= 0 and backoff_factor >= 1"
-        )
-    if resume and journal_dir is None:
-        raise SupervisorError("resume=True requires journal_dir")
-
-    check_abort: Optional[Callable[[], Optional[str]]] = None
-    if deadline_at is not None or should_stop is not None:
-        def check_abort() -> Optional[str]:
-            if deadline_at is not None and time.time() >= deadline_at:
-                return (
-                    f"sweep deadline passed "
-                    f"({time.time() - deadline_at:.1f}s over)"
-                )
-            if should_stop is not None:
-                return should_stop()
-            return None
-
-    started = time.monotonic()
-    if cache_dir is not None:
-        disk_cache.configure(cache_dir)
-
-    tasks = plan_tasks(ids, filter_indices, wordlengths)
-    signature = sweep_signature(ids, filter_indices, wordlengths)
-
-    journal = _NullJournal()
-    resumed_outcomes: List[TaskOutcome] = []
-    if journal_dir is not None:
-        if resume:
-            journal, resumed_outcomes = SweepJournal.resume(
-                journal_dir, signature
-            )
-        else:
-            journal = SweepJournal.create(journal_dir, signature)
-
-    # Hydrate the in-memory cache from journaled completions, then let the
-    # ordinary partition count them as precached.  Failed or quarantined
-    # journal records are *not* replayed — a crash environment is exactly
-    # when transient failures happen, so those points get a fresh chance.
-    tasks_resumed = 0
-    task_set = set(tasks)
-    seen: set = set()
-    for outcome in resumed_outcomes:
-        if outcome.task not in task_set or outcome.task in seen:
-            continue
-        if outcome.ok:
-            seen.add(outcome.task)
-            tasks_resumed += 1
-            key = _memory_key(outcome.task)
-            if key not in experiments._CACHE:
-                experiments._CACHE[key] = (
-                    disk_cache.decode_method_result(outcome.payload)
-                )
-                experiments._MEMORY_STATS.stores += 1
-    if resume and journal.path is not None:
-        obs.event(
-            "journal.resume",
-            journal=str(journal.path),
-            replayed=len(resumed_outcomes),
-            resumed=tasks_resumed,
-        )
-
-    pending, precached = _partition_tasks(tasks)
-
-    precompute_started = time.monotonic()
-    retries = 0
-    pool_rebuilds = 0
-    try:
-        if not pending:
-            results: List[TaskOutcome] = []
-        elif jobs > 1:
-            with obs_span(
-                "sweep.precompute", jobs=jobs, pending=len(pending),
-                supervised=True,
-            ):
-                results, retries, pool_rebuilds = _precompute_supervised(
-                    pending, jobs, task_deadline_s, journal, chaos,
-                    max_retries, backoff_s, backoff_factor, max_backoff_s,
-                    backoff_rng, deadline_at, check_abort,
-                )
-            obs.drain_spill()
-        else:
-            with obs_span(
-                "sweep.precompute", jobs=1, pending=len(pending),
-                supervised=True,
-            ):
-                results = _precompute_in_process(
-                    pending, task_deadline_s, journal, chaos,
-                    deadline_at, check_abort,
-                )
-    finally:
-        journal.close()
-    precompute_s = time.monotonic() - precompute_started
-
-    _fold_results(results)
-    stage_timings = _stage_timings(results)
-
-    # Last checkpoint before the (undeadlined, serial) replay phase: an
-    # abort that fired while the final tasks drained must not be absorbed
-    # into a full replay over cold points.
-    if check_abort is not None:
-        reason = check_abort()
-        if reason is not None:
-            raise SweepAborted(reason)
-
-    replay_started = time.monotonic()
-    outcomes: Tuple = ()
-    if replay:
-        with obs_span("sweep.replay", experiments=len(ids)):
-            outcomes = run_sweep(
-                ids, robust=robust, filter_indices=filter_indices,
-                wordlengths=wordlengths,
-            )
-    replay_s = time.monotonic() - replay_started
-
-    report = ParallelSweepReport(
-        outcomes=outcomes,
-        tasks=tuple(results),
-        jobs=jobs,
-        tasks_planned=len(tasks),
-        tasks_precached=precached,
-        precompute_s=precompute_s,
-        replay_s=replay_s,
-        total_s=time.monotonic() - started,
-        stage_timings=stage_timings,
-        cache=experiments.cache_info(),
-        retries=retries,
-        pool_rebuilds=pool_rebuilds,
-        tasks_resumed=tasks_resumed,
-        journal_path=str(journal.path) if journal.path is not None else None,
-    )
-    _record_sweep_metrics(report)
-    return report

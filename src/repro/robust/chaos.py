@@ -20,8 +20,8 @@ replays the exact same fault sequence; ``injections`` records every fault
 actually fired for test assertions.
 
 Beyond in-process stage faults, :class:`ProcessFaultPlan` describes
-*process-level* fault schedules for the supervised sweep layer
-(:mod:`repro.eval.supervisor`): seeded worker SIGKILLs, injected slow tasks,
+*process-level* fault schedules for the sweep engine
+(:mod:`repro.eval.parallel`): seeded worker SIGKILLs, injected slow tasks,
 and cache-write corruption / ENOSPC simulation.  Decisions are pure
 functions of ``(seed, task key, attempt)`` via SHA-256 — independent of
 execution order, interning, or ``PYTHONHASHSEED`` — so a fault sequence

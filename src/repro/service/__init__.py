@@ -1,6 +1,6 @@
 """Synthesis-as-a-service: a fault-tolerant job service over the sweep engine.
 
-Layers the supervised sweep engine (:mod:`repro.eval.supervisor`) and the
+Layers the sweep engine (:mod:`repro.eval.parallel`) and the
 content-addressed cache (:mod:`repro.eval.cache`) behind a small HTTP API
 with the reliability features a shared deployment needs:
 
@@ -18,9 +18,7 @@ with the reliability features a shared deployment needs:
   jitter retries, a client-side circuit breaker, idempotent resubmission
   and long-poll ``wait_for`` (:mod:`repro.service.client`).
 
-The HTTP front end is stdlib-only (``http.server``); an optional FastAPI
-adapter (:mod:`repro.service.fastapi_adapter`) mounts the same engine when
-that stack happens to be installed, but nothing here requires it.
+The HTTP front end is stdlib-only (``http.server``).
 """
 
 from .admission import AdmissionController, CircuitBreaker, DurationEwma

@@ -8,18 +8,15 @@ Layering (each piece is independently testable):
   :class:`~repro.service.admission.AdmissionController`, the deadline
   :class:`~repro.service.budgets.Reaper`, and the dispatcher threads that
   run accepted jobs through
-  :func:`~repro.eval.supervisor.run_sweep_supervised`.  It knows nothing
+  :func:`~repro.eval.parallel.run_sweep_parallel`.  It knows nothing
   about HTTP.
 
 * :class:`ServiceHTTPHandler` on a ``ThreadingHTTPServer`` — a thin
   translation layer: JSON in/out, exception type → status code,
-  ``Retry-After`` from :class:`~repro.errors.AdmissionRejected`.  An
-  optional FastAPI adapter (:mod:`repro.service.fastapi_adapter`) mounts
-  the same engine behind the same routes when that stack is installed;
-  the stdlib server is always available.
+  ``Retry-After`` from :class:`~repro.errors.AdmissionRejected`.
 
 Crash safety is inherited, not reimplemented: job lifecycle lives in the
-store's WAL, per-task progress lives in the supervisor's sweep journal, and
+store's WAL, per-task progress lives in the sweep engine's journal, and
 the dispatcher always runs with ``resume=True`` — so a job interrupted by
 ``SIGKILL`` of the whole server is requeued on restart and only recomputes
 the tasks whose outcomes never reached disk.
@@ -49,7 +46,7 @@ from ..errors import (
 )
 from ..eval import cache as disk_cache
 from ..eval.export import sweep_to_json
-from ..eval.supervisor import run_sweep_supervised
+from ..eval.parallel import run_sweep_supervised
 from ..numrep import Representation
 from ..obs import metrics as obs_metrics
 from ..quantize import ScalingScheme
@@ -80,7 +77,7 @@ class ServiceConfig:
     cache_dir: Optional[Path] = None
     host: str = "127.0.0.1"
     port: int = 8177
-    #: Worker processes per running sweep (the supervisor's ``jobs``).
+    #: Worker processes per running sweep (the sweep engine's ``jobs``).
     sweep_jobs: int = 2
     #: Concurrently *running* jobs (dispatcher threads).
     max_inflight: int = 1

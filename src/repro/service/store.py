@@ -95,7 +95,7 @@ class JobSpec:
     """Canonical description of *what* a job computes.
 
     Mirrors the parameters of
-    :func:`~repro.eval.supervisor.run_sweep_supervised` that shape the task
+    :func:`~repro.eval.parallel.run_sweep_parallel` that shape the task
     universe.  Everything else about a request (tenant, deadlines) lives on
     the :class:`JobRecord` because it does not change the answer.
     """

@@ -86,7 +86,7 @@ class TestExitCodes:
         ])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "supervised:" in out
+        assert "precompute:" in out
 
     def test_budget_exceeded_maps_to_3(self, monkeypatch, capsys):
         import repro.eval.__main__ as cli
@@ -119,7 +119,7 @@ class TestExitCodes:
         assert "something structural" in capsys.readouterr().err
 
     def test_quarantined_tasks_map_to_5(self, monkeypatch, capsys):
-        import repro.eval.supervisor as supervisor
+        import repro.eval.parallel as parallel
 
         task = SweepTask(0, 8, "uniform", "csd", "mrpf")
         report = ParallelSweepReport(
@@ -133,7 +133,7 @@ class TestExitCodes:
             stage_timings={}, cache={},
         )
         monkeypatch.setattr(
-            supervisor, "run_sweep_supervised", lambda *a, **kw: report
+            parallel, "run_sweep_parallel", lambda *a, **kw: report
         )
         code = main([
             "fig6", "--filters", "0", "--wordlengths", "8",
@@ -143,6 +143,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "quarantined" in captured.out
         assert "poison" in captured.err
+
+
+class TestSweepOutput:
+    def test_tables_identical_with_and_without_journal(self, tmp_path, capsys):
+        argv = ["fig6", "--filters", "0", "1", "--wordlengths", "8",
+                "--jobs", "2"]
+
+        def tables(*extra):
+            clear_cache()
+            assert main(argv + list(extra)) == EXIT_OK
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines()
+                    if not line.startswith("[")]
+
+        plain = tables("--cache-dir", str(tmp_path / "plain"))
+        journaled = tables("--cache-dir", str(tmp_path / "journaled"),
+                           "--journal-dir", str(tmp_path / "journal"))
+        assert any("Figure 6" in line for line in plain)
+        assert journaled == plain
 
 
 class TestExportSubcommand:
@@ -205,7 +224,7 @@ class TestCacheCounterSummary:
     ):
         # Cache write failures and quarantined entries must be visible in
         # the end-of-run summary, not only in the metrics exposition.
-        import repro.eval.supervisor as supervisor
+        import repro.eval.parallel as parallel
 
         report = ParallelSweepReport(
             outcomes=(), tasks=(), jobs=2, tasks_planned=0,
@@ -213,7 +232,7 @@ class TestCacheCounterSummary:
             stage_timings={}, cache={"put_errors": 3, "quarantined": 1},
         )
         monkeypatch.setattr(
-            supervisor, "run_sweep_supervised", lambda *a, **kw: report
+            parallel, "run_sweep_parallel", lambda *a, **kw: report
         )
         code = main([
             "fig6", "--filters", "0", "--wordlengths", "8",

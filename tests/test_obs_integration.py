@@ -17,7 +17,7 @@ from repro import obs
 from repro.eval import cache_info, to_json
 from repro.eval.experiments import clear_cache
 from repro.eval.harness import run_experiment
-from repro.eval.supervisor import run_sweep_supervised
+from repro.eval.parallel import run_sweep_supervised
 from repro.obs import load_trace, validate_trace
 from repro.obs.metrics import DEFAULT_REGISTRY
 
@@ -95,6 +95,34 @@ def test_merged_metrics_equal_report_totals(tmp_path):
     # Worker-side synthesis work reached the merged registry.
     assert DEFAULT_REGISTRY.counter_value(
         "repro_cache_stores_total", layer="disk") > 0
+
+
+def test_memory_store_counter_matches_cache_info(tmp_path):
+    # Folding worker payloads and replaying a journal insert into the
+    # parent's memory layer; both must count in cache_info() and /metrics.
+    def stores():
+        return (
+            cache_info()["memory"]["stores"],
+            DEFAULT_REGISTRY.counter_value(
+                "repro_cache_stores_total", layer="memory"),
+        )
+
+    # Journaled with jobs=2, so the tasks run in worker processes.
+    pooled = run_sweep_supervised(
+        jobs=2, cache_dir=tmp_path / "cache", journal_dir=tmp_path / "wal",
+        replay=False, **SMALL,
+    )
+    assert pooled.tasks
+    assert stores() == (len(pooled.tasks), len(pooled.tasks))
+
+    clear_cache()
+    obs.reset()
+    resumed = run_sweep_supervised(
+        jobs=2, journal_dir=tmp_path / "wal", resume=True, replay=False,
+        **SMALL,
+    )
+    assert resumed.tasks_resumed == resumed.tasks_planned > 0
+    assert stores() == (resumed.tasks_resumed, resumed.tasks_resumed)
 
 
 def test_task_outcomes_carry_tracer_durations(tmp_path):

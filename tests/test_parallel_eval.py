@@ -22,7 +22,6 @@ from repro.eval import parallel as parallel_module
 from repro.eval.__main__ import EXIT_OK, main
 from repro.eval.parallel import (
     SweepTask,
-    auto_chunk_size,
     plan_tasks,
     pool_decision,
     run_sweep_parallel,
@@ -109,11 +108,6 @@ class TestByteIdenticalEquivalence:
         full = run_sweep_parallel(IDS, jobs=1, **RESTRICT)
         assert sweep_to_json(full.outcomes) == want
 
-    def test_run_sweep_delegates_to_parallel(self, tmp_path):
-        want = _serial_json()
-        outcomes = run_sweep(IDS, jobs=2, cache_dir=tmp_path / "c", **RESTRICT)
-        assert sweep_to_json(outcomes) == want
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ReproError):
             run_sweep_parallel(["nope"], jobs=1)
@@ -122,34 +116,21 @@ class TestByteIdenticalEquivalence:
 class TestChunkedDispatch:
     def test_chunked_pool_matches_serial(self, tmp_path, monkeypatch):
         # Force the pool on (the heuristic would refuse it on a 1-CPU CI
-        # host) and drive it with an explicit chunk size: chunked dispatch
-        # must not change a byte of the exported sweep.
+        # host): dispatching tasks to worker processes must not change a
+        # byte of the exported sweep.
         want = _serial_json()
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
         report = run_sweep_parallel(
-            IDS, jobs=2, cache_dir=tmp_path / "cache", chunk_size=3,
-            min_parallel_tasks=1, **RESTRICT
+            IDS, jobs=2, cache_dir=tmp_path / "cache", **RESTRICT
         )
         assert report.pool_used
-        assert report.chunk_size == 3
         assert report.fallback_reason is None
         assert sweep_to_json(report.outcomes) == want
-
-    def test_auto_chunk_size_scales_with_backlog(self):
-        # ~CHUNKS_PER_WORKER chunks per worker, never below 1.
-        workers = 4
-        per_worker = parallel_module.CHUNKS_PER_WORKER
-        assert auto_chunk_size(0, workers) == 1
-        assert auto_chunk_size(1, workers) == 1
-        assert auto_chunk_size(workers * per_worker, workers) == 1
-        assert auto_chunk_size(workers * per_worker * 10, workers) == 10
-        assert auto_chunk_size(5, 0) == 1
 
     def test_report_stats_carry_dispatch_fields(self):
         report = run_sweep_parallel(["fig6"], jobs=1, **RESTRICT)
         stats = report.stats()
         assert stats["pool_used"] is False
-        assert stats["chunk_size"] == 0
         assert stats["fallback_reason"] == "jobs <= 1"
 
 
@@ -167,13 +148,11 @@ class TestSerialFallback:
         )
 
     def test_small_sweep_never_constructs_a_pool(self, monkeypatch):
-        # 10 pending tasks, threshold raised above them: in-process, and
-        # byte-identical (it IS the serial code path).
+        # 12 pending tasks below the threshold of 16 for 8 workers:
+        # in-process, and byte-identical (it IS the serial code path).
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
         want = _serial_json()
-        report = run_sweep_parallel(
-            IDS, jobs=4, min_parallel_tasks=1_000, **RESTRICT
-        )
+        report = run_sweep_parallel(IDS, jobs=8, **RESTRICT)
         assert not report.pool_used
         assert "below pool threshold" in report.fallback_reason
         assert len(report.tasks) == report.tasks_planned
@@ -181,25 +160,22 @@ class TestSerialFallback:
 
     def test_single_cpu_host_never_constructs_a_pool(self, monkeypatch):
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-        report = run_sweep_parallel(
-            ["fig6"], jobs=4, min_parallel_tasks=1, **RESTRICT
-        )
+        report = run_sweep_parallel(["fig6"], jobs=4, **RESTRICT)
         assert not report.pool_used
         assert report.fallback_reason == "single-CPU host"
         assert not report.failed_tasks
 
-    def test_fallback_still_writes_through_disk_cache(self, tmp_path):
+    def test_fallback_still_writes_through_disk_cache(
+        self, tmp_path, monkeypatch
+    ):
         # The in-process path must leave the same warm disk cache a pool
         # run would: a second sweep computes nothing.
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
         cache_dir = tmp_path / "cache"
-        run_sweep_parallel(
-            IDS, jobs=4, cache_dir=cache_dir, min_parallel_tasks=1_000,
-            **RESTRICT
-        )
+        run_sweep_parallel(IDS, jobs=4, cache_dir=cache_dir, **RESTRICT)
         clear_cache()
         again = run_sweep_parallel(
-            IDS, jobs=4, cache_dir=cache_dir, min_parallel_tasks=1_000,
-            **RESTRICT
+            IDS, jobs=4, cache_dir=cache_dir, **RESTRICT
         )
         assert len(again.tasks) == 0
         assert again.tasks_precached == again.tasks_planned
@@ -217,22 +193,16 @@ class TestPoolDecision:
 
     def test_default_threshold_scales_with_workers(self, monkeypatch):
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        monkeypatch.delenv(parallel_module.MIN_POOL_TASKS_ENV, raising=False)
         # threshold = max(4, 2 * min(jobs, cpus)) = 8 for jobs=4
         assert pool_decision(7, 4)[0] is False
         assert pool_decision(8, 4) == (True, None)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(parallel_module.MIN_POOL_TASKS_ENV, "3")
-        assert pool_decision(2, 4)[0] is False
-        assert pool_decision(3, 4) == (True, None)
-
-    def test_explicit_threshold_beats_env(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(parallel_module.MIN_POOL_TASKS_ENV, "1")
-        assert pool_decision(5, 4, min_parallel_tasks=6)[0] is False
-        assert pool_decision(6, 4, min_parallel_tasks=6) == (True, None)
+    def test_journaled_sweep_always_pools(self, monkeypatch):
+        # Long-lived journaled sweeps keep a worker-killing task out of the
+        # parent, whatever the host or the backlog.
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
+        assert pool_decision(1, 2, journaled=True) == (True, None)
+        assert pool_decision(1, 1, journaled=True) == (False, "jobs <= 1")
 
 
 class TestTaskPlanning:

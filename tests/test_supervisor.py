@@ -29,13 +29,15 @@ from repro.eval import cache as disk_cache
 from repro.eval.experiments import clear_cache
 from repro.eval.export import sweep_to_json
 from repro.eval.harness import run_sweep
-from repro.eval.parallel import SweepTask, TaskOutcome, plan_tasks
-from repro.eval.supervisor import (
-    SweepJournal,
+from repro.eval import parallel as parallel_module
+from repro.eval.parallel import (
+    SweepTask,
+    TaskOutcome,
+    plan_tasks,
+    run_sweep_parallel,
     run_sweep_supervised,
-    sweep_signature,
-    task_key,
 )
+from repro.eval.supervisor import SweepJournal, sweep_signature, task_key
 from repro.robust import ProcessFaultPlan
 
 IDS = ["fig6"]
@@ -209,6 +211,21 @@ class TestWorkerLossRecovery:
         assert not report.quarantined_tasks
         assert sweep_to_json(report.outcomes) == want
 
+    def test_unjournaled_pooled_sweep_survives_worker_sigkill(
+        self, monkeypatch
+    ):
+        # No journal: the pool is the heuristic's choice (forced on here
+        # whatever the host), and a lost worker is recovered, not fatal.
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
+        want = _serial_json()
+        chaos = ProcessFaultPlan(kill_rate=1.0, kills_per_task=1)
+        report = run_sweep_parallel(IDS, jobs=2, chaos=chaos, **RESTRICT)
+        assert report.pool_used
+        assert report.journal_path is None
+        assert report.pool_rebuilds >= 1
+        assert not report.quarantined_tasks
+        assert sweep_to_json(report.outcomes) == want
+
     def test_fault_sequence_is_deterministic(self, tmp_path):
         chaos = ProcessFaultPlan(seed=7, kill_rate=1.0, kills_per_task=1)
 
@@ -290,7 +307,7 @@ class TestCacheChaos:
 
 _PARENT_DRIVER = """
 import sys
-from repro.eval.supervisor import run_sweep_supervised
+from repro.eval.parallel import run_sweep_supervised
 from repro.robust import ProcessFaultPlan
 
 # Slow every task so the parent is reliably mid-sweep when killed.

@@ -42,7 +42,7 @@ def _pristine(tmp_path):
 
 def test_pool_workers_continue_the_adopted_trace(tmp_path):
     """Satellite: trace context survives the pool-worker spill merge."""
-    from repro.eval.supervisor import run_sweep_supervised
+    from repro.eval.parallel import run_sweep_supervised
 
     obs.configure(trace_path=tmp_path / "trace.jsonl")
     job_trace = "ab" * 8

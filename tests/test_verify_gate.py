@@ -124,7 +124,7 @@ class TestSweepGate:
     def test_supervised_sweep_green_under_gate(self, monkeypatch, tmp_path):
         """The journaled sweep engine completes with the gate armed — the
         audit runs inside every worker task without quarantining anything."""
-        from repro.eval.supervisor import run_sweep_supervised
+        from repro.eval.parallel import run_sweep_supervised
 
         monkeypatch.setenv("REPRO_VERIFY_GATE", "1")
         report = run_sweep_supervised(
