@@ -43,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -85,13 +86,27 @@ def _start_server(data_dir: Path, extra_args, log_path: Path):
             *extra_args,
         ],
         env=_env(), stdout=subprocess.PIPE, stderr=log, text=True,
+        start_new_session=True,
     )
     banner = proc.stdout.readline()
     if "serving on" not in banner:
-        proc.kill()
+        _kill(proc)
         raise SystemExit(f"service_e2e: server never came up: {banner!r}")
     port = int(banner.rsplit(":", 1)[1].rstrip("]\n"))
     return proc, port
+
+
+def _kill(proc) -> None:
+    """SIGKILL the server (if still running) and everything it started.
+
+    The server leads its own session, so its pool workers share its process
+    group: killing the group reaps a worker that would otherwise outlive a
+    SIGKILLed server, orphaned under init.
+    """
+    proc.kill()
+    proc.wait(timeout=30)
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
 
 
 def _make_client(port: int, proxy, timeout_s: float) -> ServiceClient:
@@ -214,8 +229,7 @@ def main(argv=None) -> int:
         # least one task outcome durably journaled.
         _wait_mid_job(client, job_id, data_dir / "journals", args.timeout)
     finally:
-        proc.kill()
-        proc.wait(timeout=30)
+        _kill(proc)
         proc.stdout.close()
     print("service_e2e: server SIGKILLed mid-job")
 
@@ -329,9 +343,7 @@ def main(argv=None) -> int:
                     "service_e2e: --netchaos fired no faults; pick a "
                     "seed/rate with early activity"
                 )
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+        _kill(proc)
         proc.stdout.close()
 
     # The finalized trace must hold well-tagged service spans.

@@ -17,7 +17,7 @@ The result — an :class:`MrpPlan` — is a pure *architectural* description;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import SynthesisError
 
@@ -35,7 +35,7 @@ from ..graph import (
 from ..numrep import Representation, adder_cost
 from .sidc import TapBinding, normalize_taps
 
-__all__ = ["MrpOptions", "MrpPlan", "optimize", "trivial_plan"]
+__all__ = ["MrpOptions", "MrpPlan", "optimize", "sidc_graph", "trivial_plan"]
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,7 @@ def optimize(
         )
 
     if graph is None:
-        graph = build_colored_graph(
-            vertices, max_shift, opts.representation, budget=budget
-        )
+        graph = sidc_graph(vertices, wordlength, opts, budget=budget)
     elif (
         set(graph.vertices) != set(vertices)
         or graph.max_shift != max_shift
@@ -259,6 +257,39 @@ def optimize(
         cover=cover,
         forest=forest,
     )
+
+
+def sidc_graph(
+    vertices: Sequence[int],
+    wordlength: int,
+    options: MrpOptions,
+    budget: Optional["SolverBudget"] = None,
+    built: Optional[Dict[Tuple[int, Representation], ColoredGraph]] = None,
+) -> ColoredGraph:
+    """The SIDC graph :func:`optimize` plans ``vertices`` on under ``options``.
+
+    ``built`` optionally holds graphs already built over the same
+    ``vertices``, keyed by ``(max_shift, representation)``.  A graph found
+    there is reused, and ``budget`` is charged what building it would have
+    cost (one node per ordered vertex pair, as the build charges), so the
+    budget runs out at the same node count either way.  A graph built here
+    is added to ``built``; a build the budget interrupts is not.
+    """
+    max_shift = options.max_shift
+    if max_shift is None:
+        max_shift = wordlength
+    key = (max_shift, options.representation)
+    graph = built.get(key) if built is not None else None
+    if graph is None:
+        graph = build_colored_graph(
+            vertices, max_shift, options.representation, budget=budget
+        )
+        if built is not None:
+            built[key] = graph
+    elif budget is not None:
+        size = len(graph.vertices)
+        budget.spend_units(size * (size - 1))
+    return graph
 
 
 def trivial_plan(

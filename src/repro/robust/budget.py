@@ -110,6 +110,22 @@ class SolverBudget:
             self._heartbeat()
         self.checkpoint(partial)
 
+    def spend_units(self, units: int) -> None:
+        """Charge ``units`` nodes exactly as ``units`` calls of ``spend()`` would.
+
+        The same heartbeats fire, and an exhausted budget raises at the
+        first unit past the cap, with the same node count in its message.
+        It takes one :meth:`spend` per heartbeat interval, not per unit, so
+        replaying the cost of work done earlier (a reused graph, a memoized
+        solve) is cheap.  Only the deadline is consulted less often.
+        """
+        while units > 0:
+            step = min(units, max(1, self._next_heartbeat - self._nodes))
+            if self.max_nodes is not None:
+                step = min(step, max(1, self.max_nodes + 1 - self._nodes))
+            self.spend(step)
+            units -= step
+
     def _heartbeat(self) -> None:
         """Periodic observability checkpoint (every :data:`HEARTBEAT_NODES`)."""
         self._next_heartbeat = self._nodes + HEARTBEAT_NODES

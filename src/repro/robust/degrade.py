@@ -5,9 +5,10 @@ unpredictably with tap count and wordlength.  :func:`synthesize` wraps the
 whole plan→lower→verify pipeline in a cascade of tiers:
 
 1. **exact** — plan with the branch-and-bound exact cover (optimal SEED
-   selection).  On budget exhaustion the solver's incumbent cover — a
-   complete cover whose optimality is merely unproven — is reused instead of
-   being thrown away.
+   selection).  On budget exhaustion the cover step hands back the
+   solver's incumbent cover (complete, optimality unproven) with a warning,
+   but the attempt still fails: the spent budget's next checkpoint raises
+   before the plan is made.  The greedy tier then releases the design.
 2. **greedy** — the paper's greedy weighted set cover (polynomial).
 3. **trivial** — the all-roots per-tap plan, which always succeeds and
    reproduces the simple baseline.
@@ -16,6 +17,17 @@ Within each tier, a failed attempt is retried with *perturbed* options —
 varying ``beta``, ``max_shift``, and the digit representation — because many
 synthesis failures are instance-specific (a pathological cover, a degenerate
 forest) and a nearby configuration sails through.
+
+Attempts share work whose result cannot change.  The SIDC graph depends
+only on ``(max_shift, representation)``, so each is built once per cascade
+and later attempts reuse it (and its cached cover index).  The branch and
+bound ignores β, so an exact attempt that differs from an earlier one only
+in β replays that solve's outcome instead of rerunning it.  Both charge the
+attempt's budget what the skipped work would have cost, so every attempt
+exhausts at the same node count, with the same error, as a standalone
+:func:`~repro.core.mrp.optimize` call.  The exact-solve memo is bypassed
+when the budget has a deadline or is already exhausted, where a rerun is
+not deterministic.
 
 Every architecture released by :func:`synthesize` is re-verified against
 exact convolution **of the caller's coefficient vector** (not the plan's own
@@ -28,16 +40,22 @@ never returns an unverified architecture.
 
 from __future__ import annotations
 
+import contextlib
 import time
-from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..arch.simulate import verify_against_convolution
-from ..core.mrp import MrpOptions, MrpPlan, optimize, trivial_plan
+from ..core.mrp import MrpOptions, MrpPlan, optimize, sidc_graph, trivial_plan
 from ..core.sidc import normalize_taps
 from ..core.transform import VERIFY_SAMPLES, MrpfArchitecture, lower_plan
-from ..errors import CoverBudgetError, DegradationError, SynthesisError
-from ..graph import exact_weighted_set_cover
+from ..errors import (
+    BudgetExceeded,
+    CoverBudgetError,
+    DegradationError,
+    SynthesisError,
+)
+from ..graph import ColoredGraph, exact_weighted_set_cover
 from ..numrep import Representation
 from ..obs import metrics as obs_metrics
 from ..obs import span as obs_span
@@ -186,17 +204,82 @@ def _perturbations(
         yield options
 
 
+@dataclass
+class _Shared:
+    """What the attempts of one cascade share: its graphs and exact solves.
+
+    ``graphs`` is keyed by ``(max_shift, representation)`` (see
+    :func:`~repro.core.mrp.sidc_graph`); ``solves`` holds one memo per such
+    set system for :func:`_exact_solve`.
+    """
+
+    vertices: Tuple[int, ...]
+    graphs: Dict[Tuple[int, Representation], ColoredGraph] = field(
+        default_factory=dict
+    )
+    solves: Dict[Tuple[int, Representation], dict] = field(
+        default_factory=dict
+    )
+
+
+def _exact_solve(universe, sets, costs, config: RobustConfig,
+                 budget: SolverBudget, memo: Optional[dict]):
+    """One exact branch-and-bound solve, or the replay of an identical one.
+
+    ``memo`` belongs to one set system of one cascade.  It maps the
+    budget's state when a solve began (nodes spent, node cap) to the nodes
+    the solve spent and its outcome: the cover or the
+    :class:`~repro.errors.CoverBudgetError`.  The solve is deterministic and
+    ignores β, so a β-only retry starting from the same state would repeat
+    it node for node; the replay charges the same nodes and returns or
+    raises the same outcome instead.  A budget with a deadline, or one
+    already exhausted (chaos forces that), is never memoized: a rerun
+    could stop elsewhere.
+    """
+    replayable = (
+        memo is not None and budget.deadline_s is None and not budget.exhausted
+    )
+    key = (budget.nodes_used, budget.max_nodes)
+    if replayable and key in memo:
+        spent, outcome = memo[key]
+        # The memoized outcome already says how this charge ends.
+        with contextlib.suppress(BudgetExceeded):
+            budget.spend_units(spent)
+        if isinstance(outcome, CoverBudgetError):
+            raise CoverBudgetError(str(outcome), partial=outcome.partial)
+        return outcome
+    started = budget.nodes_used
+    try:
+        outcome = exact_weighted_set_cover(
+            universe, sets, costs,
+            max_universe=config.exact_max_universe,
+            budget=budget,
+        )
+    except CoverBudgetError as exc:
+        if replayable:
+            memo[key] = (budget.nodes_used - started, exc)
+        raise
+    if replayable:
+        memo[key] = (budget.nodes_used - started, outcome)
+    return outcome
+
+
 def _exact_cover_fn(config: RobustConfig, budget: SolverBudget,
-                    warnings: List[str]):
-    """Cover solver for the exact tier, with incumbent reuse on exhaustion."""
+                    warnings: List[str], memo: Optional[dict] = None):
+    """Cover solver for the exact tier (``memo``: see :func:`_exact_solve`).
+
+    On budget exhaustion it returns the solver's incumbent cover, when there
+    is one, with a warning.  That does not release the incumbent:
+    the budget is spent, so the checkpoint :func:`optimize` runs after the
+    cover raises :class:`~repro.errors.BudgetExceeded` and the attempt
+    fails.  Behaviour kept on purpose: on filter 3 at W=20 (maximal
+    scaling) the incumbent costs 38 against the greedy cover's 41, yet
+    would need 91 adders where the greedy release needs 85.
+    """
 
     def cover(universe, sets, costs, options):
         try:
-            return exact_weighted_set_cover(
-                universe, sets, costs,
-                max_universe=config.exact_max_universe,
-                budget=budget,
-            )
+            return _exact_solve(universe, sets, costs, config, budget, memo)
         except CoverBudgetError as exc:
             incumbent = exc.partial
             if incumbent is not None:
@@ -219,14 +302,26 @@ def _plan_tier(
     config: RobustConfig,
     budget: SolverBudget,
     warnings: List[str],
+    shared: _Shared,
 ) -> MrpPlan:
     if tier == "trivial":
         return trivial_plan(coefficients, options)
-    if tier == "greedy":
-        return optimize(coefficients, wordlength, options, budget=budget)
+    graph = None
+    if wordlength >= 1 and len(shared.vertices) > 1:
+        # Where optimize would build a graph (it rejects wordlength < 1
+        # first and needs none below two vertices), build it once per cascade.
+        graph = sidc_graph(
+            shared.vertices, wordlength, options, budget, shared.graphs
+        )
+    cover_fn = None
+    if tier == "exact":
+        memo = None if graph is None else shared.solves.setdefault(
+            (graph.max_shift, graph.representation), {}
+        )
+        cover_fn = _exact_cover_fn(config, budget, warnings, memo)
     return optimize(
-        coefficients, wordlength, options, budget=budget,
-        cover_fn=_exact_cover_fn(config, budget, warnings),
+        coefficients, wordlength, options, graph=graph, budget=budget,
+        cover_fn=cover_fn,
     )
 
 
@@ -264,6 +359,7 @@ def synthesize(
     samples = list(cfg.verify_samples)
     last_tier = cfg.tiers[-1]
     vertices, _ = normalize_taps(coefficients)
+    shared = _Shared(tuple(vertices))
 
     for tier in cfg.tiers:
         if tier == "exact" and len(vertices) > cfg.exact_max_universe:
@@ -292,7 +388,7 @@ def synthesize(
             )
             architecture, record = _run_attempt(
                 tier, coefficients, wordlength, tier_options,
-                cfg, attempt_budget, chaos, samples, warnings,
+                cfg, attempt_budget, chaos, samples, warnings, shared,
             )
             attempts.append(record)
             if architecture is not None:
@@ -321,6 +417,7 @@ def _run_attempt(
     chaos,
     samples: List[int],
     warnings: List[str],
+    shared: _Shared,
 ):
     """One plan→lower→verify attempt; never raises (records instead)."""
     stage = "plan"
@@ -358,7 +455,7 @@ def _run_attempt(
                 chaos.before("plan", budget)
             plan = _plan_tier(
                 tier, coefficients, wordlength, options, config, budget,
-                warnings
+                warnings, shared,
             )
             if chaos is not None:
                 plan = chaos.transform("plan", plan)
