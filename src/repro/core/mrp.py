@@ -184,7 +184,10 @@ def optimize(
     solver — the robust degradation layer uses it to try the exact
     branch-and-bound first; it is called as
     ``cover_fn(universe, sets, costs, options)`` and must return a
-    :class:`~repro.graph.CoverSolution`.
+    :class:`~repro.graph.CoverSolution`.  ``sets`` and ``costs`` are the
+    graph's :meth:`~repro.graph.ColoredGraph.cover_inputs`: read-only
+    mappings whose color sets are the graph's own, so ``cover_fn`` must not
+    mutate them.
     """
     opts = options or MrpOptions()
     coefficients = tuple(int(c) for c in coefficients)
@@ -233,8 +236,7 @@ def optimize(
     if budget is not None:
         budget.checkpoint()
     if cover_fn is not None:
-        color_sets = {color: graph.color_set(color) for color in graph.colors}
-        costs = {color: float(graph.color_cost(color)) for color in graph.colors}
+        color_sets, costs = graph.cover_inputs()
         cover = cover_fn(set(vertices), color_sets, costs, opts)
     else:
         index = graph.cover_index(opts.strategy)

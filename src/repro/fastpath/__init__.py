@@ -7,11 +7,13 @@ recursive MSD enumeration for coefficients that repeat across a sweep.  This
 package provides drop-in fast kernels for both:
 
 * :mod:`repro.fastpath.digitcost` — branch-free digit-cost functions
-  (``popcount``-identity CSD weights) used per edge instead of building a
+  (``popcount``-identity CSD weights) used instead of building a
   :class:`~repro.numrep.SignedDigits` string per color.
-* :mod:`repro.fastpath.graphbuild` — a batch rewrite of the colored-graph
-  inner loops over precomputed shift tables, with an optional numpy kernel
-  (int64 broadcasting + ``np.bitwise_count``) and a pure-python fallback.
+* :mod:`repro.fastpath.graphbuild` — the colored graph built as flat
+  per-edge columns (primary color, color shift, color sign) by a numpy
+  kernel (int64 broadcasting + ``np.bitwise_count``) or a pure-python
+  fallback, grouped into color sets in one shared pass; the graph makes
+  edge objects only for the colors the spanning forest asks for.
 * :mod:`repro.fastpath.msdtables` — snapshot/restore/warm helpers around the
   process-local MSD digit table kept by :mod:`repro.numrep.msd`, so sweep
   workers inherit the parent's warmed tables at fork (or via the pool

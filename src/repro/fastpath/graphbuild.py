@@ -1,42 +1,47 @@
-"""Batch construction of the SIDC colored multigraph.
+"""Batch construction of the SIDC colored multigraph, as flat columns.
 
 Equivalent to :func:`repro.graph.colored._build_edges` — same edges, same
-fields, same order — but restructured for speed:
+fields, same order — but it makes no per-edge object.  A kernel computes
+three flat columns over all ``2 * (max_shift + 1) * M * (M - 1)`` edges in
+the reference order ``(src, dst, shift, sign)``, the ``src == dst`` pairs
+left out: each edge's primary color, color shift and color sign.  It also
+collects each color's digit cost.  One shared pass then groups the primary
+column into the color sets, and the columns become a
+:class:`~repro.graph.colored.ColumnarGraph`, which makes
+:class:`~repro.graph.colored.ColorEdge` objects only for the edges the
+spanning forest asks for.
+
+Against the reference loop:
 
 * the per-edge CSD re-encoding is replaced by the popcount digit-cost
-  kernels of :mod:`repro.fastpath.digitcost`;
+  kernels of :mod:`repro.fastpath.digitcost`, once per distinct color;
 * ``oddpart``'s trial division becomes the two's-complement trailing-zero
   trick ``mag & -mag``;
-* color costs are collected during the single edge pass (the reference
-  recomputes ``digit_cost`` once more per distinct color);
-* the :class:`~repro.graph.colored.ColoredGraph` index dictionaries are
-  built inline, skipping the reference's second full pass over the edge
-  list, and edges skip ``__post_init__`` re-validation (the construction
-  *is* the reconstruction identity, so there is nothing to re-check);
-* with a capable numpy, the SID coefficients, shifts, and weights of all
-  ``2 * (max_shift + 1) * M * (M - 1)`` edges are computed by int64
-  broadcasting first, leaving python only the object materialization.
+* with a capable numpy, the columns and the digit costs are computed by
+  int64 broadcasting; the pure-python kernel computes the same columns over
+  precomputed shift tables.
 
-Edge order is bit-for-bit the reference order (src, dst, shift, sign) so
-downstream tie-breaking — and therefore every exported artifact — is
-unchanged.  ``tests/test_fastpath_equivalence.py`` locks this down.
+Column order is bit-for-bit the reference order, so every edge list the
+graph hands out — and therefore every exported artifact — is unchanged.
+``tests/test_fastpath_equivalence.py`` locks this down.
 
 The cooperative ``budget`` is charged once per ordered vertex pair exactly
-like the reference.  The numpy kernel performs its bulk arithmetic before
-the first checkpoint, so an exhausted budget still raises, merely after the
-(cheap, vectorized) arithmetic instead of before it.
+like the reference, in the grouping pass.  Both kernels compute their
+columns before the first checkpoint, so an exhausted budget still raises at
+the same node count, merely after the column arithmetic instead of before
+it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..errors import GraphError
 from ..numrep import Representation
 from .digitcost import fast_cost_fn
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
-    from ..graph.colored import ColoredGraph
+    from ..graph.colored import ColumnarGraph
     from ..robust.budget import SolverBudget
 
 __all__ = ["build_graph_fast"]
@@ -46,6 +51,10 @@ __all__ = ["build_graph_fast"]
 #: pure-python kernel, which works on arbitrary-precision ints.
 _NUMPY_VALUE_BOUND = 1 << 60
 
+#: A kernel's output: primary colors, color shifts and color signs per
+#: edge, and each primary color's digit cost (first-appearance order).
+_Columns = Tuple[List[int], List[int], List[int], Dict[int, int]]
+
 
 def build_graph_fast(
     vertex_list: List[int],
@@ -53,121 +62,112 @@ def build_graph_fast(
     representation: Representation,
     budget: Optional["SolverBudget"],
     kernel: str,
-) -> "ColoredGraph":
+) -> "ColumnarGraph":
     """Build the full SIDC graph with the requested fast kernel.
 
     ``vertex_list`` must be sorted, deduplicated odd positive integers —
     the same precondition the reference path enforces, checked here up
     front so a bad vertex fails before any bulk work.
     """
+    from ..graph.colored import ColumnarGraph
+
     for v in vertex_list:
         if v <= 0 or v % 2 == 0:
             raise GraphError(f"vertex {v} must be odd and positive")
     use_numpy = kernel == "numpy" and len(vertex_list) >= 2 and (
         (max(vertex_list) << max_shift) + max(vertex_list) < _NUMPY_VALUE_BOUND
     )
-    if use_numpy:
-        return _build_numpy(vertex_list, max_shift, representation, budget)
-    return _build_python(vertex_list, max_shift, representation, budget)
-
-
-def _graph_state(vertex_list):
-    """The five index dictionaries a ColoredGraph is made of, empty."""
-    return (
-        {},  # edges_by_color: color -> [ColorEdge]
-        {},  # color_sets: color -> {dst}
-        {v: set() for v in vertex_list},  # colors_of_vertex
-        {v: {} for v in vertex_list},  # edges_into_by_color
-        {},  # color_costs: color -> digit cost
+    columns = _columns_numpy if use_numpy else _columns_python
+    primaries, color_shifts, color_signs, costs = columns(
+        vertex_list, max_shift, representation
+    )
+    color_sets = _group(vertex_list, 2 * (max_shift + 1), primaries, budget)
+    return ColumnarGraph(
+        vertex_list, representation, max_shift, primaries, color_shifts,
+        color_signs, color_sets, costs,
     )
 
 
-def _assemble(vertex_list, representation, max_shift, state) -> "ColoredGraph":
-    from ..graph.colored import ColoredGraph
+def _group(
+    vertex_list: List[int],
+    per_pair: int,
+    primaries: List[int],
+    budget: Optional["SolverBudget"],
+) -> Dict[int, Set[int]]:
+    """Color sets from the primary column, charging one node per vertex pair.
 
-    by_color, sets, of_vertex, into, costs = state
-    return ColoredGraph._from_prebuilt(
-        vertex_list, representation, max_shift, by_color, sets, of_vertex,
-        into, costs,
-    )
+    Colors and their members are inserted in edge order, as the reference
+    graph inserts them.
+    """
+    color_sets: Dict[int, Set[int]] = {}
+    members_of = color_sets.get
+    start = 0
+    for src in vertex_list:
+        for dst in vertex_list:
+            if dst == src:
+                continue
+            if budget is not None:
+                budget.spend()
+            end = start + per_pair
+            for color in primaries[start:end]:
+                members = members_of(color)
+                if members is None:
+                    color_sets[color] = {dst}
+                else:
+                    members.add(dst)
+            start = end
+    return color_sets
 
 
-def _build_python(
+def _columns_python(
     vertex_list: List[int],
     max_shift: int,
     representation: Representation,
-    budget: Optional["SolverBudget"],
-) -> "ColoredGraph":
-    """Fused single-pass pure-python kernel over precomputed shift tables."""
-    from ..graph.colored import ColorEdge
-
+) -> _Columns:
+    """Pure-python kernel over precomputed shift tables."""
     cost = fast_cost_fn(representation)
-    state = _graph_state(vertex_list)
-    by_color, sets, of_vertex, into, costs = state
-    new_edge = object.__new__
+    primaries: List[int] = []
+    color_shifts: List[int] = []
+    color_signs: List[int] = []
+    costs: Dict[int, int] = {}
     shift_range = range(max_shift + 1)
     for src in vertex_list:
         shifted_tab = [src << s for s in shift_range]
         for dst in vertex_list:
             if dst == src:
                 continue
-            if budget is not None:
-                budget.spend()
-            dst_colors = of_vertex[dst]
-            dst_into = into[dst]
-            for shift in shift_range:
-                shifted = shifted_tab[shift]
-                for src_sign in (1, -1):
-                    xi = dst - shifted if src_sign == 1 else dst + shifted
-                    if xi == 0:
-                        continue
+            for shifted in shifted_tab:
+                # src_sign +1, then -1; neither xi is zero between distinct
+                # odd vertices.
+                for xi in (dst - shifted, dst + shifted):
                     if xi > 0:
-                        color_sign, magnitude = 1, xi
+                        color_signs.append(1)
+                        magnitude = xi
                     else:
-                        color_sign, magnitude = -1, -xi
+                        color_signs.append(-1)
+                        magnitude = -xi
                     color_shift = (magnitude & -magnitude).bit_length() - 1
                     primary = magnitude >> color_shift
-                    edge = new_edge(ColorEdge)
-                    edge.__dict__.update(
-                        src=src, dst=dst, shift=shift, src_sign=src_sign,
-                        color=primary, color_shift=color_shift,
-                        color_sign=color_sign, weight=0,
-                    )
-                    bucket = by_color.get(primary)
-                    if bucket is None:
-                        weight = cost(primary)
-                        by_color[primary] = [edge]
-                        sets[primary] = {dst}
-                        costs[primary] = weight
-                    else:
-                        weight = costs[primary]
-                        bucket.append(edge)
-                        sets[primary].add(dst)
-                    edge.__dict__["weight"] = weight
-                    dst_colors.add(primary)
-                    into_bucket = dst_into.get(primary)
-                    if into_bucket is None:
-                        dst_into[primary] = [edge]
-                    else:
-                        into_bucket.append(edge)
-    return _assemble(vertex_list, representation, max_shift, state)
+                    primaries.append(primary)
+                    color_shifts.append(color_shift)
+                    if primary not in costs:
+                        costs[primary] = cost(primary)
+    return primaries, color_shifts, color_signs, costs
 
 
-def _build_numpy(
+def _columns_numpy(
     vertex_list: List[int],
     max_shift: int,
     representation: Representation,
-    budget: Optional["SolverBudget"],
-) -> "ColoredGraph":
-    """Vectorized kernel: int64 broadcast arithmetic, python materialization.
+) -> _Columns:
+    """Vectorized kernel: int64 broadcast arithmetic, one list per column.
 
     Shapes are ``(M, M, S, 2)`` indexed ``[src][dst][shift][sign]`` with
-    sign index 0 for ``src_sign=+1`` and 1 for ``-1``, matching the
-    reference iteration order exactly when walked in C order.
+    sign index 0 for ``src_sign=+1`` and 1 for ``-1``; dropping the
+    ``src == dst`` pairs and walking the rest in C order is the reference
+    iteration order.
     """
     import numpy as np
-
-    from ..graph.colored import ColorEdge
 
     v = np.asarray(vertex_list, dtype=np.int64)
     shifts = np.arange(max_shift + 1, dtype=np.int64)
@@ -175,69 +175,22 @@ def _build_numpy(
     base = v[None, :, None]  # broadcasts over (M, M, S)
     xi_plus = base - shifted[:, None, :]
     xi_minus = base + shifted[:, None, :]
-    xi = np.stack((xi_plus, xi_minus), axis=-1)  # (M, M, S, 2)
+    keep = ~np.eye(len(vertex_list), dtype=bool)
+    xi = np.stack((xi_plus, xi_minus), axis=-1)[keep]  # (M*(M-1), S, 2)
     magnitude = np.abs(xi)
-    low_bit = magnitude & -magnitude
-    # popcount(low_bit - 1) == count of trailing zeros; the where() keeps the
-    # shift count defined at the (masked-out) xi == 0 entries.
-    color_shift = np.bitwise_count(
-        np.where(magnitude == 0, np.int64(1), low_bit) - 1
-    ).astype(np.int64)
+    # popcount(low_bit - 1) == count of trailing zeros (magnitude > 0).
+    color_shift = np.bitwise_count((magnitude & -magnitude) - 1).astype(np.int64)
     primary = magnitude >> color_shift
     if representation is Representation.CSD:
         weight = np.bitwise_count(primary ^ (3 * primary))
     else:
         weight = np.bitwise_count(primary)
-    # Bulk-convert to flat python lists once (C order == reference iteration
-    # order), then walk them with one running index; per-element numpy
-    # scalar extraction or nested-list hopping inside the loop would dwarf
-    # the arithmetic saved.
     primaries = primary.ravel().tolist()
-    color_shifts = color_shift.ravel().tolist()
-    weights = weight.astype(np.int64).ravel().tolist()
-    color_signs = np.where(xi < 0, -1, 1).ravel().tolist()
-
-    state = _graph_state(vertex_list)
-    by_color, sets, of_vertex, into, costs = state
-    new_edge = object.__new__
-    num_vertices = len(vertex_list)
-    per_pair = 2 * (max_shift + 1)  # flat stride of one (src, dst) pair
-    shift_range = range(max_shift + 1)
-    for i, src in enumerate(vertex_list):
-        row_start = i * num_vertices * per_pair
-        for j, dst in enumerate(vertex_list):
-            if dst == src:
-                continue
-            if budget is not None:
-                budget.spend()
-            dst_colors = of_vertex[dst]
-            dst_into = into[dst]
-            index = row_start + j * per_pair
-            for shift in shift_range:
-                for src_sign in (1, -1):
-                    prim = primaries[index]
-                    if prim == 0:  # xi == 0: dst is a shift of src
-                        index += 1
-                        continue
-                    edge = new_edge(ColorEdge)
-                    edge.__dict__.update(
-                        src=src, dst=dst, shift=shift, src_sign=src_sign,
-                        color=prim, color_shift=color_shifts[index],
-                        color_sign=color_signs[index], weight=weights[index],
-                    )
-                    bucket = by_color.get(prim)
-                    if bucket is None:
-                        by_color[prim] = [edge]
-                        sets[prim] = {dst}
-                        costs[prim] = weights[index]
-                    else:
-                        bucket.append(edge)
-                        sets[prim].add(dst)
-                    dst_colors.add(prim)
-                    into_bucket = dst_into.get(prim)
-                    if into_bucket is None:
-                        dst_into[prim] = [edge]
-                    else:
-                        into_bucket.append(edge)
-                    index += 1
-    return _assemble(vertex_list, representation, max_shift, state)
+    # dict() keeps each color's first position; all of its weights agree.
+    costs = dict(zip(primaries, weight.astype(np.int64).ravel().tolist()))
+    return (
+        primaries,
+        color_shift.ravel().tolist(),
+        np.where(xi < 0, -1, 1).ravel().tolist(),
+        costs,
+    )

@@ -20,7 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..errors import GraphError
 from ..numrep import Representation, adder_cost, digit_cost, oddpart
@@ -30,7 +40,7 @@ from .setcover import CoverIndex
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
     from ..robust.budget import SolverBudget
 
-__all__ = ["ColorEdge", "ColoredGraph", "build_colored_graph"]
+__all__ = ["ColorEdge", "ColoredGraph", "ColumnarGraph", "build_colored_graph"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,16 @@ class ColoredGraph:
 
     * ``color_sets``   — primary color -> vertices coverable by its class
     * ``color_costs``  — primary color -> digit cost in the chosen representation
-    * ``edges_by_color`` — primary color -> the concrete edges, for spanning-
+    * ``edges_of_color`` — primary color -> the concrete edges, for spanning-
       tree construction after the cover is chosen
     * ``colors_of_vertex`` — reverse index: the colors with an edge into a vertex
+    * ``cover_inputs`` — read-only views of the color sets and float costs
     * ``cover_index`` — the greedy cover's β-invariant state, built once
+
+    This class holds every edge as a :class:`ColorEdge`, indexed eagerly;
+    the reference build (``REPRO_FASTPATH=off``) returns it.  The fast
+    kernels return a :class:`ColumnarGraph`, which answers the same queries
+    from flat per-edge columns and makes edges only when asked for them.
     """
 
     def __init__(
@@ -87,60 +103,44 @@ class ColoredGraph:
         representation: Representation,
         max_shift: int,
     ):
-        self._vertices: FrozenSet[int] = frozenset(vertices)
-        for v in self._vertices:
+        vertex_set: FrozenSet[int] = frozenset(vertices)
+        for v in vertex_set:
             if v <= 0 or v % 2 == 0:
                 raise GraphError(f"vertex {v} must be odd and positive")
-        self._representation = representation
-        self._max_shift = max_shift
         self._edges_by_color: Dict[int, List[ColorEdge]] = {}
-        self._color_sets: Dict[int, Set[int]] = {}
-        self._colors_of_vertex: Dict[int, Set[int]] = {v: set() for v in self._vertices}
+        color_sets: Dict[int, Set[int]] = {}
+        self._colors_of_vertex: Dict[int, Set[int]] = {v: set() for v in vertex_set}
         self._edges_into_by_color: Dict[int, Dict[int, List[ColorEdge]]] = {
-            v: {} for v in self._vertices
+            v: {} for v in vertex_set
         }
         for edge in edges:
             self._edges_by_color.setdefault(edge.color, []).append(edge)
-            self._color_sets.setdefault(edge.color, set()).add(edge.dst)
+            color_sets.setdefault(edge.color, set()).add(edge.dst)
             self._colors_of_vertex[edge.dst].add(edge.color)
             self._edges_into_by_color[edge.dst].setdefault(edge.color, []).append(edge)
-        self._color_costs: Dict[int, int] = {
-            color: digit_cost(color, representation) for color in self._color_sets
+        color_costs = {
+            color: digit_cost(color, representation) for color in color_sets
         }
-        self._cover_indexes: Dict[str, CoverIndex] = {}
+        self._adopt(vertex_set, representation, max_shift, color_sets, color_costs)
 
-    @classmethod
-    def _from_prebuilt(
-        cls,
-        vertices: Iterable[int],
+    def _adopt(
+        self,
+        vertices: FrozenSet[int],
         representation: Representation,
         max_shift: int,
-        edges_by_color: Dict[int, List[ColorEdge]],
         color_sets: Dict[int, Set[int]],
-        colors_of_vertex: Dict[int, Set[int]],
-        edges_into_by_color: Dict[int, Dict[int, List[ColorEdge]]],
         color_costs: Dict[int, int],
-    ) -> "ColoredGraph":
-        """Trusted constructor for the fast-path builder.
-
-        :mod:`repro.fastpath.graphbuild` assembles the index dictionaries in
-        its single edge pass; re-deriving them here (as ``__init__`` does)
-        would double the build time for no information.  Callers guarantee
-        the dictionaries are mutually consistent and that ``color_costs``
-        matches ``digit_cost`` — the fast-path equivalence suite holds them
-        to it.
-        """
-        graph = cls.__new__(cls)
-        graph._vertices = frozenset(vertices)
-        graph._representation = representation
-        graph._max_shift = max_shift
-        graph._edges_by_color = edges_by_color
-        graph._color_sets = color_sets
-        graph._colors_of_vertex = colors_of_vertex
-        graph._edges_into_by_color = edges_into_by_color
-        graph._color_costs = color_costs
-        graph._cover_indexes = {}
-        return graph
+    ) -> None:
+        """Set the state every form of the graph shares."""
+        self._vertices = vertices
+        self._representation = representation
+        self._max_shift = max_shift
+        self._color_sets = color_sets
+        self._color_costs = color_costs
+        self._cover_inputs: Optional[
+            Tuple[Mapping[int, Set[int]], Mapping[int, float]]
+        ] = None
+        self._cover_indexes: Dict[str, CoverIndex] = {}
 
     @property
     def vertices(self) -> FrozenSet[int]:
@@ -187,13 +187,29 @@ class ColoredGraph:
         """All concrete edges whose class representative is ``color``."""
         return tuple(self._edges_by_color[color])
 
+    def cover_inputs(self) -> Tuple[Mapping[int, Set[int]], Mapping[int, float]]:
+        """The cover solvers' input: color sets and float costs, built once.
+
+        Both mappings are read-only views.  The sets in the first are the
+        graph's own color sets, not copies (freezing them all costs about as
+        much as building a cover index), so callers must not mutate them.
+        :meth:`cover_index` and the ``cover_fn`` path of
+        :func:`repro.core.mrp.optimize` share this pair.
+        """
+        if self._cover_inputs is None:
+            self._cover_inputs = (
+                MappingProxyType(self._color_sets),
+                MappingProxyType({
+                    color: float(cost) for color, cost in self._color_costs.items()
+                }),
+            )
+        return self._cover_inputs
+
     def cover_index(self, strategy: str = "benefit") -> CoverIndex:
         """The greedy cover's index over this graph for ``strategy``, built once.
 
-        Its universe is the vertex set, its costs the float digit costs, and
-        its sets a read-only mapping over the graph's own color sets: the
-        sets themselves are not copied (freezing them all costs about as much
-        as building the index), so callers must not mutate them.  Under
+        Its universe is the vertex set and its sets and costs are
+        :meth:`cover_inputs`, under the same read-only contract.  Under
         ``"savings"`` covering vertex ``v`` replaces its direct digit chain
         with one overhead adder, saving ``adder_cost(v) - 1``; the index
         weights each vertex accordingly.  ``"benefit"`` counts vertices (no
@@ -210,14 +226,8 @@ class ColoredGraph:
                 weights = None
             else:
                 raise GraphError(f"unknown cover strategy {strategy!r}")
-            index = CoverIndex(
-                self._vertices,
-                MappingProxyType(self._color_sets),
-                MappingProxyType({
-                    color: float(cost) for color, cost in self._color_costs.items()
-                }),
-                weights,
-            )
+            sets, costs = self.cover_inputs()
+            index = CoverIndex(self._vertices, sets, costs, weights)
             self._cover_indexes[strategy] = index
         return index
 
@@ -230,6 +240,135 @@ class ColoredGraph:
         return found
 
 
+class ColumnarGraph(ColoredGraph):
+    """A :class:`ColoredGraph` kept as flat per-edge columns.
+
+    The fast kernels of :mod:`repro.fastpath.graphbuild` compute each edge's
+    primary color, color shift and color sign, in the reference order
+    ``(src, dst, shift, sign)`` with the ``src == dst`` pairs left out.
+    Between distinct odd vertices no SID coefficient is zero, so every
+    ordered pair holds all ``2 * (max_shift + 1)`` of its edges and an
+    edge's position alone gives its ``src``, ``dst``, ``shift`` and
+    ``src_sign``; its weight is its color's cost.
+
+    The cover reads only the color sets and costs, which the build groups
+    up front.  The spanning forest reads the edges of a handful of solution
+    colors, so edges are made on demand: :meth:`edges_into` makes the edges
+    of one color into one vertex the first time they are asked for and
+    keeps them, :meth:`edges_of_color` merges those per-vertex lists, and
+    :meth:`colors_of_vertex` reads the column.  Every answer equals the
+    eager graph's, order included (``tests/test_fastpath_equivalence.py``).
+    """
+
+    def __init__(
+        self,
+        vertex_list: List[int],
+        representation: Representation,
+        max_shift: int,
+        primaries: List[int],
+        color_shifts: List[int],
+        color_signs: List[int],
+        color_sets: Dict[int, Set[int]],
+        color_costs: Dict[int, int],
+    ):
+        self._adopt(
+            frozenset(vertex_list), representation, max_shift, color_sets,
+            color_costs,
+        )
+        self._vertex_list = vertex_list
+        self._position = {v: j for j, v in enumerate(vertex_list)}
+        self._per_pair = 2 * (max_shift + 1)
+        self._primaries = primaries
+        self._color_shifts = color_shifts
+        self._color_signs = color_signs
+        #: vertex -> (its colors in first-appearance order, as dict keys;
+        #: the primary colors of the edges into it, in reference order).
+        self._incoming: Dict[int, Tuple[Dict[int, None], List[int]]] = {}
+        #: (vertex, color) -> the edges of ``color`` into ``vertex``.
+        self._made: Dict[Tuple[int, int], List[ColorEdge]] = {}
+        self._by_color: Dict[int, Tuple[ColorEdge, ...]] = {}
+
+    @property
+    def num_edges(self) -> int:
+        """Total number of colored edges."""
+        return len(self._primaries)
+
+    def colors_of_vertex(self, vertex: int) -> FrozenSet[int]:
+        """Primary colors having at least one edge into ``vertex``."""
+        return frozenset(self._incoming_of(vertex)[0])
+
+    def edges_of_color(self, color: int) -> Tuple[ColorEdge, ...]:
+        """All concrete edges whose class representative is ``color``."""
+        edges = self._by_color.get(color)
+        if edges is None:
+            found: List[ColorEdge] = []
+            for vertex in self._color_sets[color]:
+                found.extend(self._edges_into_color(vertex, color))
+            found.sort(key=_reference_order)
+            edges = self._by_color[color] = tuple(found)
+        return edges
+
+    def edges_into(self, vertex: int, allowed_colors: Set[int]) -> List[ColorEdge]:
+        """Edges terminating at ``vertex`` whose color lies in ``allowed_colors``."""
+        colors = self._incoming_of(vertex)[0]
+        found: List[ColorEdge] = []
+        # The same set expression as the eager graph's, over the same keys
+        # in the same order, so the colors come out in the same order.
+        for color in colors.keys() & allowed_colors:
+            found.extend(self._edges_into_color(vertex, color))
+        return found
+
+    def _pair_start(self, i: int, j: int) -> int:
+        """Column position of the first edge from vertex ``i`` to ``j``."""
+        pairs_before = i * (len(self._vertex_list) - 1) + j - (j > i)
+        return pairs_before * self._per_pair
+
+    def _incoming_of(self, vertex: int) -> Tuple[Dict[int, None], List[int]]:
+        incoming = self._incoming.get(vertex)
+        if incoming is None:
+            j = self._position[vertex]
+            per_pair = self._per_pair
+            sequence: List[int] = []
+            for i in range(len(self._vertex_list)):
+                if i != j:
+                    start = self._pair_start(i, j)
+                    sequence += self._primaries[start:start + per_pair]
+            incoming = self._incoming[vertex] = (dict.fromkeys(sequence), sequence)
+        return incoming
+
+    def _edges_into_color(self, vertex: int, color: int) -> List[ColorEdge]:
+        key = (vertex, color)
+        edges = self._made.get(key)
+        if edges is None:
+            sequence = self._incoming_of(vertex)[1]
+            j = self._position[vertex]
+            weight = self._color_costs[color]
+            edges = []
+            at = -1
+            for _ in range(sequence.count(color)):
+                at = sequence.index(color, at + 1)
+                row, offset = divmod(at, self._per_pair)
+                i = row + (row >= j)
+                k = self._pair_start(i, j) + offset
+                edges.append(ColorEdge(
+                    src=self._vertex_list[i],
+                    dst=vertex,
+                    shift=offset >> 1,
+                    src_sign=-1 if offset & 1 else 1,
+                    color=color,
+                    color_shift=self._color_shifts[k],
+                    color_sign=self._color_signs[k],
+                    weight=weight,
+                ))
+            self._made[key] = edges
+        return edges
+
+
+def _reference_order(edge: ColorEdge) -> Tuple[int, int, int, int]:
+    """An edge's place in the reference build order ``(src, dst, shift, sign)``."""
+    return (edge.src, edge.dst, edge.shift, -edge.src_sign)
+
+
 def build_colored_graph(
     vertices: Iterable[int],
     max_shift: int,
@@ -238,7 +377,7 @@ def build_colored_graph(
 ) -> ColoredGraph:
     """Construct the full SIDC graph over ``vertices``.
 
-    For ``M`` vertices this materializes up to ``2 * (max_shift + 1) * M *
+    For ``M`` vertices the graph has up to ``2 * (max_shift + 1) * M *
     (M - 1)`` colored edges (paper §3.1).  Edges whose SID coefficient is zero
     are skipped — a zero color means ``dst`` is a shift of ``src``, which
     cannot happen between distinct odd vertices.  The optional cooperative
@@ -247,10 +386,12 @@ def build_colored_graph(
 
     Construction normally runs through the batch kernels of
     :mod:`repro.fastpath.graphbuild` (numpy when available, pure python
-    otherwise), which produce the identical graph several times faster;
-    ``REPRO_FASTPATH=off`` selects this module's reference loop instead.
-    The equivalence suite (``tests/test_fastpath_equivalence.py``) asserts
-    the two paths are element-identical.
+    otherwise), which return a :class:`ColumnarGraph`: flat per-edge
+    columns, with edge objects made only when asked for.
+    ``REPRO_FASTPATH=off`` selects this module's reference loop instead,
+    which makes every edge up front.  The equivalence suite
+    (``tests/test_fastpath_equivalence.py``) asserts the two paths are
+    element-identical.
     """
     vertex_list = sorted(set(vertices))
     if max_shift < 0:

@@ -96,26 +96,28 @@ def exact_weighted_set_cover(
             f"elements {sorted(universe - reachable)!r} appear in no set"
         )
 
-    survivors = prune_dominated_sets(
-        {k: sets[k] & frozenset(universe) for k in sets}, costs
-    )
+    frozen = frozenset(universe)
+    survivors = prune_dominated_sets({k: sets[k] & frozen for k in sets}, costs)
     candidates_of: Dict = {}
     for element in universe:
         candidates_of[element] = sorted(
             (k for k in survivors if element in sets[k]),
             key=lambda k: (costs[k], repr(k)),
         )
+    # Per element, fixed for the whole solve: the cost of its cheapest
+    # candidate (its share of the lower bound) and its fail-first rank.
+    cheapest = {e: costs[keys[0]] for e, keys in candidates_of.items()}
+    branch_rank = {
+        e: (len(keys), repr(e)) for e, keys in candidates_of.items()
+    }
 
     best_cost = [float("inf")]
     best_pick: List[Optional[Tuple[Hashable, ...]]] = [None]
     nodes = [0]
 
     def lower_bound(uncovered: Set) -> float:
-        bound = 0.0
-        for element in uncovered:
-            cheapest = costs[candidates_of[element][0]]
-            bound = max(bound, cheapest)
-        return bound
+        # Only called with elements left: search returns on an empty set.
+        return max(0.0, max(map(cheapest.__getitem__, uncovered)))
 
     def search(uncovered: Set, cost: float, picked: Tuple[Hashable, ...]) -> None:
         nodes[0] += 1
@@ -131,9 +133,7 @@ def exact_weighted_set_cover(
         if cost + lower_bound(uncovered) >= best_cost[0]:
             return
         # Fail-first: branch on the element with the fewest candidates.
-        element = min(
-            uncovered, key=lambda e: (len(candidates_of[e]), repr(e))
-        )
+        element = min(uncovered, key=branch_rank.__getitem__)
         for key in candidates_of[element]:
             if cost + costs[key] >= best_cost[0]:
                 continue

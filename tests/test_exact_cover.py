@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphError
-from repro.graph import greedy_weighted_set_cover
+from repro.core.sidc import normalize_taps
+from repro.errors import BudgetExceeded, CoverBudgetError, GraphError
+from repro.filters import benchmark_filter
+from repro.graph import build_colored_graph, greedy_weighted_set_cover
 from repro.graph.exact_cover import exact_weighted_set_cover, prune_dominated_sets
+from repro.graph.setcover import CoverSolution, CoverStep
+from repro.quantize import ScalingScheme, quantize
+from repro.robust.budget import SolverBudget
 
 
 def brute_force_optimum(universe, sets, costs):
@@ -117,3 +122,151 @@ class TestExactCover:
         exact = exact_weighted_set_cover(universe, sets, costs)
         greedy = greedy_weighted_set_cover(universe, sets, costs, beta=0.5)
         assert exact.total_cost <= greedy.total_cost + 1e-9
+
+
+def per_node_exact_cover(universe, sets, costs, max_universe=18,
+                         max_nodes=2_000_000, budget=None):
+    """Oracle: the solver as it was, recomputing its per-element facts.
+
+    At every node it looks up each uncovered element's cheapest candidate
+    and branch rank again, and it freezes the universe once per set.
+    """
+    universe = set(universe)
+    if len(universe) > max_universe:
+        raise GraphError("universe too large")
+    reachable = set()
+    for members in sets.values():
+        reachable |= members
+    if universe - reachable:
+        raise GraphError("uncoverable element")
+    survivors = prune_dominated_sets(
+        {k: sets[k] & frozenset(universe) for k in sets}, costs
+    )
+    candidates_of = {}
+    for element in universe:
+        candidates_of[element] = sorted(
+            (k for k in survivors if element in sets[k]),
+            key=lambda k: (costs[k], repr(k)),
+        )
+    best_cost = [float("inf")]
+    best_pick = [None]
+    nodes = [0]
+
+    def lower_bound(uncovered):
+        bound = 0.0
+        for element in uncovered:
+            cheapest = costs[candidates_of[element][0]]
+            bound = max(bound, cheapest)
+        return bound
+
+    def search(uncovered, cost, picked):
+        nodes[0] += 1
+        if nodes[0] > max_nodes:
+            raise BudgetExceeded("exact cover exceeded its node budget")
+        if budget is not None:
+            budget.spend()
+        if not uncovered:
+            if cost < best_cost[0]:
+                best_cost[0] = cost
+                best_pick[0] = picked
+            return
+        if cost + lower_bound(uncovered) >= best_cost[0]:
+            return
+        element = min(
+            uncovered, key=lambda e: (len(candidates_of[e]), repr(e))
+        )
+        for key in candidates_of[element]:
+            if cost + costs[key] >= best_cost[0]:
+                continue
+            search(uncovered - sets[key], cost + costs[key], picked + (key,))
+
+    def solution_from(picked):
+        steps = []
+        covered_by = {}
+        remaining = set(universe)
+        for key in picked:
+            newly = sets[key] & remaining
+            steps.append(CoverStep(
+                color=key, benefit=0.0, frequency=len(newly),
+                cost=costs[key], newly_covered=frozenset(newly),
+            ))
+            for element in newly:
+                covered_by[element] = key
+            remaining -= newly
+        return CoverSolution(steps=tuple(steps), covered_by=covered_by)
+
+    try:
+        search(set(universe), 0.0, ())
+    except BudgetExceeded as exc:
+        incumbent = (
+            solution_from(best_pick[0]) if best_pick[0] is not None else None
+        )
+        raise CoverBudgetError(str(exc), partial=incumbent) from exc
+    return solution_from(best_pick[0])
+
+
+def run_capped(solver, universe, sets, costs, max_nodes, budget_nodes):
+    """``(outcome, incumbent, nodes spent)`` of one solve under both caps.
+
+    The budget always counts the nodes; ``budget_nodes`` caps it (``None``:
+    no cap), ``max_nodes`` is the solver's own cap.
+    """
+    budget = SolverBudget(max_nodes=budget_nodes).start()
+    try:
+        cover = solver(universe, sets, costs, max_nodes=max_nodes, budget=budget)
+    except CoverBudgetError as exc:
+        return "exhausted", exc.partial, budget.nodes_used
+    return "solved", cover, budget.nodes_used
+
+
+def assert_same_solve(universe, sets, costs, max_nodes, budget_nodes):
+    expected = run_capped(
+        per_node_exact_cover, universe, sets, costs, max_nodes, budget_nodes
+    )
+    actual = run_capped(
+        exact_weighted_set_cover, universe, sets, costs, max_nodes, budget_nodes
+    )
+    assert actual == expected
+    return expected
+
+
+CAPS = (1, 2, 3, 5, 8, 13, 40, 200, 2_000_000)
+
+
+class TestExactCoverOracle:
+    """Same search tree as the per-node oracle: cover, nodes and incumbent."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_instances_under_every_cap(self, data):
+        universe = data.draw(st.sets(st.integers(0, 11), min_size=1, max_size=10))
+        sets = {"all": frozenset(universe)}
+        for i in range(data.draw(st.integers(1, 12))):
+            sets[f"s{i}"] = frozenset(data.draw(
+                st.sets(st.sampled_from(sorted(universe)), min_size=1, max_size=6)
+            ))
+        costs = {k: float(data.draw(st.integers(1, 6))) for k in sets}
+        for cap in CAPS:
+            assert_same_solve(universe, sets, costs, cap, None)
+            assert_same_solve(universe, sets, costs, 2_000_000, cap)
+
+    def test_sidc_instance_under_every_cap(self):
+        # Suite filter 1 at W=14, maximal scaling: 13 vertices, 4,495 colors,
+        # a search of a few thousand nodes.
+        taps = quantize(
+            benchmark_filter(1).folded, 14, ScalingScheme.MAXIMAL
+        ).integers
+        vertices, _ = normalize_taps(taps)
+        sets, costs = build_colored_graph(vertices, 14).cover_inputs()
+        outcomes = []
+        for cap in CAPS + (1_000, 4_000):
+            outcomes.append(
+                assert_same_solve(set(vertices), sets, costs, cap, None)
+            )
+            assert_same_solve(set(vertices), sets, costs, 2_000_000, cap)
+        # The caps stop the search with and without an incumbent, and let
+        # it finish.
+        kinds = {(kind, cover is not None) for kind, cover, _ in outcomes}
+        assert kinds == {
+            ("exhausted", False), ("exhausted", True), ("solved", True)
+        }

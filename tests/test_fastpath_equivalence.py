@@ -21,7 +21,8 @@ from repro.errors import BudgetExceeded, GraphError
 from repro.fastpath.digitcost import csd_cost_fast, fast_cost_fn, sm_cost_fast
 from repro.fastpath.graphbuild import build_graph_fast
 from repro.fastpath import msdtables
-from repro.graph.colored import _build_edges, build_colored_graph
+from repro.graph import build_spanning_forest, greedy_weighted_set_cover
+from repro.graph.colored import ColorEdge, _build_edges, build_colored_graph
 from repro.numrep import (
     Representation,
     csd_nonzero_count,
@@ -49,8 +50,14 @@ MSD_VALUES = st.integers(min_value=-(2**12), max_value=2**12)
 
 
 @pytest.fixture(autouse=True)
-def _pristine_fastpath():
-    """Each test starts with default mode and empty MSD tables."""
+def _pristine_fastpath(monkeypatch):
+    """Each test starts with default mode and empty MSD tables.
+
+    The ambient ``REPRO_FASTPATH`` is cleared as well: each test picks the
+    kernels it compares itself, and the MSD-table tests need the tables on,
+    so the suite must pass whatever mode the shell selected.
+    """
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
     fastpath.set_mode(None)
     msdtables.clear_tables()
     yield
@@ -150,6 +157,136 @@ class TestGraphKernelEquivalence:
             build_graph_fast([4], 2, Representation.CSD, None, kernel)
         with pytest.raises(GraphError):
             build_graph_fast([-3, 5], 2, Representation.CSD, None, kernel)
+
+
+FAST_KERNELS = ("python", "numpy") if NUMPY_KERNEL else ("python",)
+BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def greedy_solutions(graph):
+    """The greedy cover's solution colors at several β, as the forest gets them."""
+    index = graph.cover_index()
+    return [
+        set(greedy_weighted_set_cover(
+            set(graph.vertices), index.sets, index.costs, beta=beta, index=index,
+        ).colors)
+        for beta in BETAS
+    ]
+
+
+class TestLazyEdges:
+    """A fast graph makes its edges on demand; what it makes is the reference's.
+
+    ``assert_graphs_identical`` asks every vertex for the edges of all
+    colors at once; the spanning forest asks for a handful, in an order of
+    its own, and the graph keeps what it made.  These tests ask the way the
+    forest does, in several orders, and compare every answer.
+    """
+
+    @given(VERTEX_SETS.filter(lambda vs: len(vs) >= 2), SHIFTS, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_edges_into_small_allowed_sets(self, vertices, max_shift, data):
+        vertex_list = sorted(vertices)
+        reference = _build_edges(vertex_list, max_shift, Representation.CSD, None)
+        colors = sorted(reference.colors)
+        allowed_sets = greedy_solutions(reference)
+        for _ in range(4):
+            allowed_sets.append(set(data.draw(st.lists(
+                st.sampled_from(colors), min_size=1, max_size=8, unique=True,
+            ))))
+        # Even numbers are never primary colors; 2 * max + 1 is past them all.
+        absent = {2, 2 * colors[-1] + 1}
+        allowed_sets.append(absent)
+        allowed_sets.append(allowed_sets[0] | absent)
+        for kernel in FAST_KERNELS:
+            fast = build_graph_fast(
+                vertex_list, max_shift, Representation.CSD, None, kernel
+            )
+            for allowed in allowed_sets:
+                for vertex in vertex_list:
+                    expected = reference.edges_into(vertex, allowed)
+                    assert fast.edges_into(vertex, allowed) == expected
+                    assert fast.edges_into(vertex, frozenset(allowed)) == (
+                        reference.edges_into(vertex, frozenset(allowed))
+                    )
+            assert fast.edges_into(vertex_list[0], absent) == []
+
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    @pytest.mark.parametrize("order", ["colors_first", "vertices_first", "reversed"])
+    def test_caches_warmed_in_any_order(self, kernel, order):
+        vertex_list = [3, 7, 11, 23, 45, 91, 105]
+        reference = _build_edges(vertex_list, 6, Representation.CSD, None)
+        fast = build_graph_fast(vertex_list, 6, Representation.CSD, None, kernel)
+        solutions = greedy_solutions(reference)
+        colors = sorted(set().union(*solutions))
+        vertices = list(vertex_list)
+        if order == "reversed":
+            colors.reverse()
+            vertices.reverse()
+        if order == "colors_first":
+            for color in colors:
+                assert fast.edges_of_color(color) == (
+                    reference.edges_of_color(color)
+                )
+        for allowed in solutions:
+            for vertex in vertices:
+                assert fast.edges_into(vertex, allowed) == (
+                    reference.edges_into(vertex, allowed)
+                )
+                assert fast.colors_of_vertex(vertex) == (
+                    reference.colors_of_vertex(vertex)
+                )
+        for color in colors:
+            assert fast.edges_of_color(color) == reference.edges_of_color(color)
+        assert_graphs_identical(reference, fast)
+        for allowed in solutions:
+            assert build_spanning_forest(fast, allowed, 3) == (
+                build_spanning_forest(reference, allowed, 3)
+            )
+
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    def test_sign_tie_keeps_reference_order(self, kernel):
+        # 7 - (1 << 1) = 5 and 7 + (1 << 1) = 9: two edges 1 -> 7 with the
+        # same shift, color shift 0 and weight 2, differing only in sign.
+        # The forest ranks them equal, so the first one it is handed wins.
+        vertex_list = [1, 7]
+        reference = _build_edges(vertex_list, 3, Representation.CSD, None)
+        fast = build_graph_fast(vertex_list, 3, Representation.CSD, None, kernel)
+        tied = [
+            edge for edge in reference.edges_into(7, {5, 9})
+            if edge.src == 1 and edge.shift == 1
+        ]
+        assert sorted(edge.src_sign for edge in tied) == [-1, 1]
+        assert {edge.color for edge in tied} == {5, 9}
+        assert len({(edge.weight, edge.color_shift) for edge in tied}) == 1
+        for allowed in ({5, 9}, {9, 5}, frozenset({5, 9})):
+            assert fast.edges_into(7, allowed) == reference.edges_into(7, allowed)
+        forest = build_spanning_forest(fast, [5, 9], 1)
+        assert forest == build_spanning_forest(reference, [5, 9], 1)
+
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    def test_build_makes_no_edges_until_asked(self, kernel, monkeypatch):
+        made = []
+        check = ColorEdge.__post_init__
+
+        def counting(edge):
+            made.append(edge)
+            check(edge)
+
+        monkeypatch.setattr(ColorEdge, "__post_init__", counting)
+        vertex_list = [3, 7, 11, 23, 45]
+        fast = build_graph_fast(vertex_list, 6, Representation.CSD, None, kernel)
+        assert fast.num_edges == 2 * 7 * 5 * 4
+        fast.cover_index("benefit")
+        fast.cover_index("savings")
+        for vertex in vertex_list:
+            fast.colors_of_vertex(vertex)
+        assert made == []
+        color = min(fast.colors_of_vertex(45))
+        edges = fast.edges_into(45, {color})
+        assert edges and made == edges
+        assert fast.edges_into(45, {color}) == edges
+        assert len(made) == len(edges)
 
 
 class TestGraphBudgetEquivalence:
