@@ -9,9 +9,9 @@ transformation.  The flip side is that exactness here says *nothing* about
 finite registers: a netlist that passes these checks can still overflow in
 hardware if the RTL declares too few bits.  Finite-wordlength semantics
 (wrap/saturate/error modes, per-site overflow attribution, minimal safe
-widths) live in :mod:`repro.verify.fixedpoint`, which layers them over the
-same netlist walk; :func:`verify_against_convolution` bridges the two via
-its optional ``wordlength`` argument.
+widths) live in :mod:`repro.verify.fixedpoint`, which applies them at the
+same sites of the same TDF structure; :func:`verify_against_convolution`
+bridges the two via its optional ``wordlength`` argument.
 
 Two levels:
 
@@ -20,13 +20,22 @@ Two levels:
   linearity against the declared fundamentals;
 * filter level — feed the tap products into a cycle-accurate transposed
   direct form register chain, with optional extra pipeline latency.
+
+The per-cycle loops here are the reference.  Unless fast paths are off
+(``REPRO_FASTPATH=off``), :func:`simulate_tdf_filter` at zero latency and
+without the linearity check runs the whole stimulus as int64 columns
+through :mod:`repro.fastpath.tdfsim` instead — same outputs, and the loop
+still runs whenever a static magnitude bound says a column could leave
+int64.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from .. import fastpath
 from ..errors import SimulationError
+from ..fastpath import tdfsim
 from .netlist import ShiftAddNetlist
 from .nodes import Ref
 
@@ -107,6 +116,12 @@ def simulate_tdf_filter(
     num_taps = len(tap_names)
     if num_taps == 0:
         raise SimulationError("a filter needs at least one tap output")
+    samples = list(samples)
+    columnar = not pipeline_latency and not check_linearity
+    if columnar and fastpath.tdfsim_enabled():
+        columns = tdfsim.exact_outputs(netlist, tap_names, samples)
+        if columns is not None:
+            return columns
     registers = [0] * (num_taps - 1)
     product_delay: List[List[int]] = []
     outputs: List[int] = []
@@ -153,31 +168,19 @@ def verify_against_convolution(
                 f"output {name!r} carries {declared[name]}, "
                 f"expected coefficient {coefficient}"
             )
+    # Imported lazily: repro.verify builds on this module.
+    from ..verify.equivalence import golden_convolution
+    from ..verify.fixedpoint import simulate_tdf_fixed
+
     simulated = simulate_tdf_filter(netlist, tap_names, samples)
-    reference = _convolve_exact(coefficients, samples)
+    reference = golden_convolution(coefficients, samples)
     for cycle, (got, want) in enumerate(zip(simulated, reference)):
         if got != want:
             raise SimulationError(
                 f"cycle {cycle}: netlist produced {got}, convolution {want}"
             )
     if wordlength is not None:
-        # Imported lazily: repro.verify builds on this module.
-        from ..verify.fixedpoint import simulate_tdf_fixed
-
         simulate_tdf_fixed(
             netlist, tap_names, samples,
             input_bits=wordlength, overflow="error",
         )
-
-
-def _convolve_exact(coefficients: Sequence[int], samples: Sequence[int]) -> List[int]:
-    """Exact integer convolution, same-length output."""
-    out = []
-    for n in range(len(samples)):
-        acc = 0
-        for i, c in enumerate(coefficients):
-            if n - i < 0:
-                break
-            acc += c * samples[n - i]
-        out.append(acc)
-    return out

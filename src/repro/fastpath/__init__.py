@@ -1,10 +1,11 @@
-"""Fast-path synthesis kernels: vectorized graph build and memoized tables.
+"""Fast-path kernels: vectorized graph build, memoized tables, column simulation.
 
 The synthesis hot path spends almost all of its time in two places (see
 ``benchmarks/results/BENCH_sweep_baseline.json``): constructing the SIDC
 colored multigraph (per-edge CSD re-encoding dominates) and re-running the
-recursive MSD enumeration for coefficients that repeat across a sweep.  This
-package provides drop-in fast kernels for both:
+recursive MSD enumeration for coefficients that repeat across a sweep.  The
+robust path adds a third: the release audit simulating every candidate
+netlist.  This package provides drop-in fast kernels for all three:
 
 * :mod:`repro.fastpath.digitcost` — branch-free digit-cost functions
   (``popcount``-identity CSD weights) used instead of building a
@@ -18,12 +19,20 @@ package provides drop-in fast kernels for both:
   process-local MSD digit table kept by :mod:`repro.numrep.msd`, so sweep
   workers inherit the parent's warmed tables at fork (or via the pool
   initializer under spawn).
+* :mod:`repro.fastpath.tdfsim` — the release audit's simulators as columns:
+  the exact and finite-wordlength TDF runs and the exhaustive block sweep
+  evaluate every node, tap and register over the whole stimulus as one
+  int64 array instead of one Python step per node per cycle.  It needs only
+  basic int64 ops, so every mode except ``off`` uses it, whatever the
+  numpy release; a static magnitude bound sends any run that could leave
+  int64 to the reference loop.
 
 Every kernel is provably equivalent to the reference implementation it
 replaces — ``tests/test_fastpath_equivalence.py`` asserts element-identical
 edge sets and enumerations under hypothesis, and byte-identical sweep
-exports — and the reference code paths remain in place, selectable at
-runtime.
+exports; ``tests/test_simulate_columnar.py`` holds the column simulators to
+the per-cycle loops — and the reference code paths remain in place,
+selectable at runtime.
 
 Mode selection
 --------------
@@ -31,13 +40,15 @@ Mode selection
 The ``REPRO_FASTPATH`` environment variable picks the kernel:
 
 ``auto`` (default)
-    numpy kernel when a capable numpy is importable, else pure python.
+    numpy graph kernel when a capable numpy is importable, else pure python.
 ``numpy``
-    force the numpy kernel (falls back to python if numpy is unusable).
+    force the numpy graph kernel (falls back to python if numpy is unusable).
 ``python``
-    force the pure-python fast kernel (how CI exercises the fallback).
+    force the pure-python graph kernel (how CI exercises the fallback).
 ``off``
     disable every fast path; run the original reference implementations.
+
+The MSD tables and the column simulators are on in every mode but ``off``.
 
 :func:`set_mode` overrides the environment for the current process (used by
 tests, benchmarks, and the CLI ``--fastpath`` flag).
@@ -57,6 +68,7 @@ __all__ = [
     "numpy_usable",
     "resolve_mode",
     "set_mode",
+    "tdfsim_enabled",
 ]
 
 #: Bump when a fast kernel's output could have differed from the reference
@@ -125,6 +137,11 @@ def graph_kernel() -> str:
 
 def msd_tables_enabled() -> bool:
     """Whether MSD enumerations are served from the process-local table."""
+    return resolve_mode() != "off"
+
+
+def tdfsim_enabled() -> bool:
+    """Whether TDF simulation runs on :mod:`repro.fastpath.tdfsim` columns."""
     return resolve_mode() != "off"
 
 

@@ -8,7 +8,10 @@ netlist computes *exactly* the filter the coefficients describe:
   prove each tap product equals ``coefficient * x``.  Because the block is
   combinational and the TDF chain is exact addition, per-sample exhaustion
   over the block *is* exhaustive over all input sequences — a complete
-  proof, not a sampling argument.
+  proof, not a sampling argument.  Unless fast paths are off, the whole
+  sample range goes through the block as one int64 column
+  (:func:`repro.fastpath.tdfsim.exhaustive_check`); the per-sample loop is
+  the reference and runs when a column could leave int64.
 * :func:`differential_equivalence` — corner vectors (impulse, step,
   alternating sign, max magnitude) plus seeded-random blocks through the
   cycle-accurate simulator, diffed against golden direct convolution.
@@ -30,10 +33,12 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from .. import fastpath
 from ..arch.cmodel import emit_c_model
 from ..arch.netlist import ShiftAddNetlist
 from ..arch.simulate import evaluate_nodes, simulate_tdf_filter
 from ..errors import EquivalenceViolation, VerificationError
+from ..fastpath import tdfsim
 
 __all__ = [
     "EXHAUSTIVE_MAX_BITS",
@@ -52,7 +57,11 @@ EXHAUSTIVE_MAX_BITS = 12
 def golden_convolution(
     coefficients: Sequence[int], samples: Sequence[int]
 ) -> List[int]:
-    """Exact direct-form convolution — the golden reference (same length)."""
+    """Exact direct-form convolution — the golden reference (same length).
+
+    A plain per-sample loop over unbounded ints, sharing no code with the
+    simulators it checks.
+    """
     out: List[int] = []
     for n in range(len(samples)):
         acc = 0
@@ -127,9 +136,15 @@ def exhaustive_equivalence(
             f"got {input_bits}"
         )
     _check_declared(netlist, tap_names, coefficients)
-    refs = netlist.tap_refs(tap_names)
     lo = -(1 << (input_bits - 1))
     hi = 1 << (input_bits - 1)
+    if fastpath.tdfsim_enabled():
+        swept = tdfsim.exhaustive_check(
+            netlist, tap_names, coefficients, lo, hi
+        )
+        if swept is not None:
+            return swept
+    refs = netlist.tap_refs(tap_names)
     count = 0
     for sample in range(lo, hi):
         outputs = evaluate_nodes(netlist, sample, check_linearity=True)

@@ -2,8 +2,8 @@
 
 :mod:`repro.arch.simulate` is exact — unbounded Python integers — which
 proves *architectural* equivalence but says nothing about the hardware's
-finite registers.  This module layers a configurable fixed-point semantics
-over the same netlist walk:
+finite registers.  This module applies a configurable fixed-point semantics
+at every site of the same TDF structure:
 
 * every DAG node, tap product, TDF register, and the output adder is
   evaluated at a declared signed width with ``wrap`` (two's-complement
@@ -20,6 +20,13 @@ over the same netlist walk:
   :mod:`repro.arch.verilog` actually emits against those bounds — the
   export's semantics audited against the Python model rather than assumed.
 
+:func:`simulate_tdf_fixed` runs the whole stimulus as int64 columns through
+:mod:`repro.fastpath.tdfsim` — one array op per node, tap and register,
+overflows reported in the per-cycle loop's order — unless fast paths are
+off (``REPRO_FASTPATH=off``), a width is below 1, or a static magnitude
+bound says a column could leave int64; then the per-cycle loop, the
+reference, runs.
+
 The analytic bounds are deliberately derived independently of
 :func:`repro.arch.metrics.node_bitwidths` (from ``|value| * 2^(w-1)``
 magnitudes, not ``bit_length`` arithmetic) so the two implementations
@@ -31,10 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .. import fastpath
 from ..arch.metrics import node_bitwidths
 from ..arch.netlist import ShiftAddNetlist
 from ..arch.verilog import output_width
 from ..errors import OverflowViolation, VerificationError, WidthContractViolation
+from ..fastpath import tdfsim
 
 __all__ = [
     "OVERFLOW_MODES",
@@ -142,6 +151,17 @@ def min_accumulator_widths(
     return widths
 
 
+def _overflow_error(
+    site: str, cycle: int, value: int, width: int
+) -> OverflowViolation:
+    return OverflowViolation(
+        f"value {value} overflows the {width}-bit register at "
+        f"{site} on cycle {cycle}",
+        site=site,
+        cycle=cycle,
+    )
+
+
 def simulate_tdf_fixed(
     netlist: ShiftAddNetlist,
     tap_names: Sequence[str],
@@ -182,6 +202,19 @@ def simulate_tdf_fixed(
         else output_width(netlist, tap_names, input_bits)
     )
     refs = netlist.tap_refs(tap_names)
+    samples = list(samples)
+    if fastpath.tdfsim_enabled():
+        columns = tdfsim.fixed_run(
+            netlist, tap_names, refs, samples, widths, acc_width, overflow
+        )
+        if columns is not None:
+            outputs, overflows = columns
+            if overflow == "error" and overflows:
+                raise _overflow_error(*overflows[0])
+            return FixedPointRun(
+                outputs=tuple(outputs),
+                overflows=tuple(OverflowEvent(*o) for o in overflows),
+            )
     num_taps = len(tap_names)
     registers = [0] * (num_taps - 1)
     events: List[OverflowEvent] = []
@@ -190,12 +223,7 @@ def simulate_tdf_fixed(
         fitted, overflowed = fit(value, width, overflow)
         if overflowed:
             if overflow == "error":
-                raise OverflowViolation(
-                    f"value {value} overflows the {width}-bit register at "
-                    f"{site} on cycle {cycle}",
-                    site=site,
-                    cycle=cycle,
-                )
+                raise _overflow_error(site, cycle, value, width)
             events.append(
                 OverflowEvent(site=site, cycle=cycle, value=value, width=width)
             )

@@ -2,7 +2,7 @@
 
 For random coefficient vectors AND random input stimuli, the synthesized MRP
 architecture simulated through the cycle-accurate TDF model must match
-``_convolve_exact`` bit for bit, and every baseline — hcub, mst_diff,
+``golden_convolution`` bit for bit, and every baseline — hcub, mst_diff,
 cse_filter, decor, bhm — must agree with direct convolution on the same
 stimulus.  Unlike ``test_cross_method`` (fixed stimulus, no decor), the
 stimulus here is adversarial too, so register-chain/latency bugs that a
@@ -12,7 +12,7 @@ fixed probe vector happens to miss get exercised.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.simulate import _convolve_exact, simulate_tdf_filter
+from repro.arch.simulate import simulate_tdf_filter
 from repro.baselines import (
     synthesize_bhm,
     synthesize_cse_filter,
@@ -22,6 +22,7 @@ from repro.baselines import (
 )
 from repro.core import synthesize_mrpf
 from repro.eval import best_mrpf
+from repro.verify import golden_convolution
 
 WORDLENGTH = 11
 
@@ -40,14 +41,14 @@ class TestMrpfAgainstExactConvolution:
     def test_mrpf_tdf_matches_convolution(self, coeffs, samples):
         arch = synthesize_mrpf(coeffs, WORDLENGTH, verify=False)
         got = simulate_tdf_filter(arch.netlist, arch.tap_names, samples)
-        assert got == _convolve_exact(coeffs, samples)
+        assert got == golden_convolution(coeffs, samples)
 
     @given(COEFFS, STIMULUS)
     @settings(max_examples=15)
     def test_best_mrpf_matches_convolution(self, coeffs, samples):
         arch = best_mrpf(coeffs, WORDLENGTH)
         got = simulate_tdf_filter(arch.netlist, arch.tap_names, samples)
-        assert got == _convolve_exact(coeffs, samples)
+        assert got == golden_convolution(coeffs, samples)
 
     @given(COEFFS, STIMULUS)
     @settings(max_examples=15)
@@ -57,14 +58,14 @@ class TestMrpfAgainstExactConvolution:
                 coeffs, WORDLENGTH, seed_compression=compression, verify=False
             )
             got = simulate_tdf_filter(arch.netlist, arch.tap_names, samples)
-            assert got == _convolve_exact(coeffs, samples)
+            assert got == golden_convolution(coeffs, samples)
 
 
 class TestBaselinesAgainstExactConvolution:
     @given(COEFFS, STIMULUS)
     @settings(max_examples=30)
     def test_netlist_baselines_match_convolution(self, coeffs, samples):
-        want = _convolve_exact(coeffs, samples)
+        want = golden_convolution(coeffs, samples)
         baselines = [
             synthesize_hcub(coeffs),
             synthesize_mst_diff(coeffs, WORDLENGTH, verify=False),
@@ -81,4 +82,4 @@ class TestBaselinesAgainstExactConvolution:
         # DECOR's differenced-multiplier + integrator pipeline is not a plain
         # netlist filter, so it is compared through its own process() path.
         arch = synthesize_decor(coeffs, order=1)
-        assert arch.process(samples) == _convolve_exact(coeffs, samples)
+        assert arch.process(samples) == golden_convolution(coeffs, samples)
