@@ -45,7 +45,6 @@ __all__ = [
     "cache_key",
     "clear_cache",
     "configure",
-    "install_fault_injector",
     "version_tag",
 ]
 
@@ -199,10 +198,6 @@ class DiskCache:
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         """Atomically persist ``payload`` under ``key``."""
-        injector = _FAULT_INJECTOR
-        fault = injector.draw_put(key) if injector is not None else None
-        if fault == "enospc":
-            raise injector.enospc_error(key)
         fab = iofabric.active()
         path = self._path(key)
         fab.makedirs_durable(path.parent)
@@ -214,8 +209,6 @@ class DiskCache:
         try:
             with fh:
                 body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-                if fault == "truncate":
-                    body = body[: max(1, len(body) // 2)]
                 fh.write(body)
             fab.replace(tmp, path)
         except BaseException:
@@ -232,8 +225,8 @@ class DiskCache:
     # Generated artifacts (Verilog, C models, DOT graphs) are content-
     # addressed text, not JSON payloads; wrapping kilobytes of RTL in a JSON
     # string would double-escape every quote and newline.  They share the
-    # same sharding, atomic-rename discipline, and chaos fault injection as
-    # JSON entries, with a sha256 trailer line standing in for JSON's
+    # same sharding, atomic-rename discipline, and IO fabric as JSON
+    # entries, with a sha256 trailer line standing in for JSON's
     # implicit parse check: a torn write from a killed process fails the
     # digest check and is quarantined rather than served.
 
@@ -272,14 +265,8 @@ class DiskCache:
 
     def put_text(self, key: str, text: str) -> None:
         """Atomically persist the text artifact ``text`` under ``key``."""
-        injector = _FAULT_INJECTOR
-        fault = injector.draw_put(key) if injector is not None else None
-        if fault == "enospc":
-            raise injector.enospc_error(key)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         body = f"{text}{self._TEXT_TRAILER}{digest}\n"
-        if fault == "truncate":
-            body = body[: max(1, len(body) // 2)]
         fab = iofabric.active()
         path = self._path(key, "txt")
         fab.makedirs_durable(path.parent)
@@ -337,24 +324,6 @@ class DiskCache:
 # --- process-global active cache -------------------------------------------
 
 _ACTIVE: Optional[DiskCache] = None
-
-# Consulted by DiskCache.put; anything with draw_put(key) / enospc_error(key)
-# qualifies (canonically repro.robust.chaos.CacheFaultInjector).  Kept here,
-# not on the cache instance, so pool workers can arm it from their
-# initializer regardless of which DiskCache object they construct.
-_FAULT_INJECTOR: Optional[Any] = None
-
-
-def install_fault_injector(injector: Optional[Any]) -> Optional[Any]:
-    """Arm (or with ``None`` disarm) chaos faults for every cache write.
-
-    Returns the previously installed injector so tests can restore it.
-    """
-    global _FAULT_INJECTOR
-    previous = _FAULT_INJECTOR
-    _FAULT_INJECTOR = injector
-    return previous
-
 
 def configure(directory: Optional[os.PathLike]) -> Optional[DiskCache]:
     """Install (or, with ``None``, uninstall) the process-wide disk cache.

@@ -39,8 +39,8 @@ Precompute survives the failures that long sweeps meet:
 
 * **Chaos validation** — a :class:`~repro.robust.ProcessFaultPlan` threads
   deterministic process-level faults (real worker SIGKILLs, straggler
-  sleeps, cache-write corruption/ENOSPC) through the workers, so recovery
-  is tested under replayable fault sequences.
+  sleeps) through the workers, so recovery is tested under replayable
+  fault sequences.
 """
 
 from __future__ import annotations
@@ -307,11 +307,10 @@ def pool_decision(
 
 def _worker_init(
     cache_dir: Optional[str],
-    chaos: Optional[ProcessFaultPlan],
     obs_args: Optional[Tuple[str, bool]] = None,
     msd_snapshot: Optional[Tuple] = None,
 ) -> None:
-    """Pool initializer: disk cache, chaos arming, obs, warm MSD tables.
+    """Pool initializer: disk cache, obs, warm MSD tables.
 
     ``msd_snapshot`` hands the parent's memoized MSD digit tables to the
     worker — a no-op under the fork start method (the tables are inherited),
@@ -321,10 +320,6 @@ def _worker_init(
     disk_cache.configure(cache_dir)
     obs.worker_configure(obs_args)
     fast_tables.restore_tables(msd_snapshot)
-    if chaos is not None:
-        injector = chaos.cache_injector()
-        if injector is not None:
-            disk_cache.install_fault_injector(injector)
 
 
 def _effective_deadline(
@@ -387,32 +382,23 @@ def _precompute_in_process(
 
     Worker-kill faults are *not* fired here — they would SIGKILL the parent
     itself, which is the scenario the journal (not the pool loop) protects
-    against; slow and cache-write faults still fire.
+    against; slow faults still fire.
     """
-    injector = chaos.cache_injector() if chaos is not None else None
-    previous = (
-        disk_cache.install_fault_injector(injector)
-        if injector is not None else None
-    )
     results: List[TaskOutcome] = []
-    try:
-        for task in pending:
-            if check_abort is not None:
-                reason = check_abort()
-                if reason is not None:
-                    raise SweepAborted(reason)
-            if chaos is not None:
-                delay = chaos.slow_delay(task_key(task))
-                if delay > 0.0:
-                    time.sleep(delay)
-            outcome = _compute_task(
-                task, _effective_deadline(deadline_s, deadline_at)
-            )
-            journal.append(outcome)
-            results.append(outcome)
-    finally:
-        if injector is not None:
-            disk_cache.install_fault_injector(previous)
+    for task in pending:
+        if check_abort is not None:
+            reason = check_abort()
+            if reason is not None:
+                raise SweepAborted(reason)
+        if chaos is not None:
+            delay = chaos.slow_delay(task_key(task))
+            if delay > 0.0:
+                time.sleep(delay)
+        outcome = _compute_task(
+            task, _effective_deadline(deadline_s, deadline_at)
+        )
+        journal.append(outcome)
+        results.append(outcome)
     return results
 
 
@@ -453,7 +439,7 @@ def _run_wave(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(
-                worker_dir, chaos, obs.worker_args(),
+                worker_dir, obs.worker_args(),
                 fast_tables.table_snapshot(),
             ),
         )

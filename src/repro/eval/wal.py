@@ -9,6 +9,11 @@ crash-safety story instead of re-deriving it:
   identity (format version, signature, code version, …) so a log written by
   different code or for a different workload is rejected, never guessed at;
 * every append is flushed and ``fsync``'d before it is considered durable;
+* a failed append is rolled back on disk too: the file is truncated to
+  its length before the write, so a record the caller was told failed can
+  never reappear on replay; if even that rollback fails, the log refuses
+  every later append rather than acknowledge records after a tail of
+  unknown content;
 * a brand-new log's *directory entry* is fsync'd too — without that, the
   first appends can be durable in a file whose name is not;
 * reads verify each line's checksum and stop at the first bad one — an
@@ -72,7 +77,11 @@ class ChecksumLog:
         log._fh = fab.open(log.path, "w")
         record = dict(header)
         record["kind"] = _HEADER_KIND
-        log._write_record(record)
+        try:
+            log._write_record(record)
+        except OSError:
+            log.close()
+            raise
         # The header fsync covered the file's *data*; the file's directory
         # entry needs its own fsync or the whole log can vanish on power
         # loss even though its first appends were "durable".  Only then is
@@ -150,13 +159,51 @@ class ChecksumLog:
         return records, valid_bytes
 
     def _write_record(self, record: Mapping[str, object]) -> None:
-        """Write + fsync one record without acknowledging it durable."""
+        """Write + fsync one record without acknowledging it durable.
+
+        On ``OSError`` the record is rolled back before the error is
+        re-raised, so the failure the caller reports is true on disk too.
+        """
         if self._fh is None:
             raise JournalError(f"log {self.path} is not open for append")
         fab = iofabric.active()
         body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._fh.write(f"{checksum(body)} {body}\n")
-        fab.fsync(self._fh)
+        # Every earlier record was flushed by its fsync, so the file's size
+        # is the offset this record starts at.
+        offset = os.fstat(self._fh.fileno()).st_size
+        try:
+            self._fh.write(f"{checksum(body)} {body}\n")
+            fab.fsync(self._fh)
+        except OSError:
+            self._rollback(offset)
+            raise
+
+    def _rollback(self, offset: int) -> None:
+        """Cut the file back to ``offset`` after a failed write or fsync.
+
+        The refused line may still sit in the handle's buffer or the page
+        cache, where a later flush or fsync would make it durable.  So drop
+        the handle, truncate, fsync the truncation, and only then reopen.
+        If any step fails the handle stays ``None`` and every later append
+        raises :class:`~repro.errors.JournalError`.
+        """
+        fab = iofabric.active()
+        fh, self._fh = self._fh, None
+        try:
+            fh.close()
+        except OSError:
+            pass  # the buffered bytes are about to be cut off anyway
+        try:
+            fab.truncate(self.path, offset)
+            reopened = fab.open(self.path, "a")
+            try:
+                fab.fsync(reopened)
+            except OSError:
+                reopened.close()
+                raise
+        except OSError:
+            return
+        self._fh = reopened
 
     def _ack(self, record: Mapping[str, object]) -> None:
         # The ack names what was just promised durable, so the durability

@@ -371,9 +371,10 @@ def drain_spill() -> None:
         if tracer is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
-                        if line.endswith("\n"):  # drop a torn final line
-                            tracer.sink.write_raw(line)
+                    # One batch per file; a torn final line is dropped.
+                    tracer.sink.write_lines(
+                        [line for line in fh if line.endswith("\n")]
+                    )
             except OSError:
                 counter("repro_obs_spill_errors_total").inc()
                 continue

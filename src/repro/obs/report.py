@@ -12,6 +12,13 @@ keys spans, in-process edges use ``parent``, and cross-process edges use
 a root span's ``link`` (``[pid, id]`` of the remote parent) — together
 they reconstruct one forest per ``trace`` id, which the timeline and
 critical-path analyses below walk.
+
+Open-ended spans: a ``start`` record announces a span that was still open
+when its process flushed.  It resolves parent and link references like a
+finished span; when no ``span`` record with the same ``(pid, id)``
+follows (the process died first), the timeline, critical path and Chrome
+export show the span as open-ended, and the per-phase stats, which need a
+duration, leave it out.
 """
 
 from __future__ import annotations
@@ -39,8 +46,11 @@ __all__ = [
     "validate_trace",
 ]
 
-_REQUIRED_SPAN_FIELDS = ("name", "id", "pid", "wall_s", "cpu_s", "status", "tags")
-_REQUIRED_EVENT_FIELDS = ("name", "pid", "tags")
+_REQUIRED_FIELDS = {
+    "span": ("name", "id", "pid", "wall_s", "cpu_s", "status", "tags"),
+    "start": ("name", "id", "pid", "tags"),
+    "event": ("name", "pid", "tags"),
+}
 
 
 def load_trace(
@@ -94,21 +104,21 @@ def load_traces(
 def validate_trace(records: Sequence[Dict[str, Any]]) -> List[str]:
     """Schema-check a trace; returns a list of problems (empty when valid).
 
-    Checks: every record is a span or event of the current format version
-    with its required fields, ``(pid, id)`` is unique across spans,
-    durations are non-negative, every parent reference points at a span
-    that exists in the same process, and the optional ``trace``/``link``
+    Checks: every record is a span, start or event of the current format
+    version with its required fields, ``(pid, id)`` is unique across spans
+    (and across starts), durations are non-negative, every parent
+    reference points at a span that exists (or was announced open) in the
+    same process, and the optional ``trace``/``link``
     context fields are well-formed.  A ``link`` must resolve only when
     its target pid has spans in this record set at all — a single-process
     file legitimately links into a process whose file was not merged in
     (or that died before closing the span).
     """
     problems: List[str] = []
-    span_ids: set = set()
-    span_pids: set = set()
+    seen: Dict[str, set] = {"span": set(), "start": set()}
     for i, record in enumerate(records):
         kind = record.get("kind")
-        if kind not in ("span", "event"):
+        if kind not in _REQUIRED_FIELDS:
             problems.append(f"record {i}: unknown kind {kind!r}")
             continue
         if record.get("v") != TRACE_FORMAT_VERSION:
@@ -116,10 +126,7 @@ def validate_trace(records: Sequence[Dict[str, Any]]) -> List[str]:
                 f"record {i}: format version {record.get('v')!r} != "
                 f"{TRACE_FORMAT_VERSION}"
             )
-        required = (
-            _REQUIRED_SPAN_FIELDS if kind == "span" else _REQUIRED_EVENT_FIELDS
-        )
-        missing = [f for f in required if f not in record]
+        missing = [f for f in _REQUIRED_FIELDS[kind] if f not in record]
         if missing:
             problems.append(f"record {i}: missing fields {missing}")
             continue
@@ -127,18 +134,18 @@ def validate_trace(records: Sequence[Dict[str, Any]]) -> List[str]:
             record["trace"] is None or isinstance(record["trace"], str)
         ):
             problems.append(f"record {i}: trace id is not a string")
-        if kind == "span":
+        if kind in seen:
             key = (record["pid"], record["id"])
-            if key in span_ids:
-                problems.append(f"record {i}: duplicate span id {key}")
-            span_ids.add(key)
-            span_pids.add(record["pid"])
-            if record["wall_s"] < 0 or record["cpu_s"] < 0:
-                problems.append(f"record {i}: negative duration")
-            if record["status"] not in ("ok", "error"):
-                problems.append(
-                    f"record {i}: bad status {record['status']!r}"
-                )
+            if key in seen[kind]:
+                problems.append(f"record {i}: duplicate {kind} id {key}")
+            seen[kind].add(key)
+            if kind == "span":
+                if record["wall_s"] < 0 or record["cpu_s"] < 0:
+                    problems.append(f"record {i}: negative duration")
+                if record["status"] not in ("ok", "error"):
+                    problems.append(
+                        f"record {i}: bad status {record['status']!r}"
+                    )
             if not isinstance(record["tags"], dict):
                 problems.append(f"record {i}: tags is not an object")
             link = record.get("link")
@@ -156,8 +163,10 @@ def validate_trace(records: Sequence[Dict[str, Any]]) -> List[str]:
                     )
     # Parent resolution is a second pass: children are emitted before their
     # parents (exit order), so the referenced span may appear later.
+    span_ids = seen["span"] | seen["start"]
+    span_pids = {pid for pid, _ in span_ids}
     for i, record in enumerate(records):
-        if record.get("kind") not in ("span", "event"):
+        if record.get("kind") not in _REQUIRED_FIELDS:
             continue
         parent = record.get("parent")
         if parent is not None:
@@ -292,7 +301,8 @@ def job_trace_continuity(
     Returns problems (empty when the story holds): the job's
     ``service.job`` spans all carry one trace id, every required span
     name appears inside that trace, ``(pid, id)`` stays unique after the
-    multi-process merge, and every parent/link edge resolves (links under
+    multi-process merge, and every parent/link edge resolves — to a
+    finished span or one a killed process announced open (links under
     the same soft rule as :func:`validate_trace` — a link into a process
     with no spans at all means that file was not merged, not that the
     trace is broken).
@@ -315,16 +325,17 @@ def job_trace_continuity(
         )
     trace_id = sorted(trace_ids)[0]
     trace = filter_trace(records, trace_id)
-    span_keys: set = set()
-    span_pids: set = set()
+    seen: Dict[str, set] = {"span": set(), "start": set()}
     for record in trace:
-        if record.get("kind") != "span":
+        kind = record.get("kind")
+        if kind not in seen:
             continue
         key = (record["pid"], record["id"])
-        if key in span_keys:
-            problems.append(f"duplicate span id {key} in trace {trace_id}")
-        span_keys.add(key)
-        span_pids.add(record["pid"])
+        if key in seen[kind]:
+            problems.append(f"duplicate {kind} id {key} in trace {trace_id}")
+        seen[kind].add(key)
+    span_keys = seen["span"] | seen["start"]
+    span_pids = {pid for pid, _ in span_keys}
     names = {r["name"] for r in trace if r.get("kind") == "span"}
     for needed in require:
         if needed not in names:
@@ -332,7 +343,7 @@ def job_trace_continuity(
                 f"trace {trace_id} is missing a {needed!r} span"
             )
     for record in trace:
-        if record.get("kind") != "span":
+        if record.get("kind") not in seen:
             continue
         parent = record.get("parent")
         if parent is not None and (record["pid"], parent) not in span_keys:
@@ -358,15 +369,20 @@ def job_trace_continuity(
 
 
 class _Node:
-    """One span in the reconstructed cross-process forest."""
+    """One span in the reconstructed cross-process forest.
 
-    __slots__ = ("rec", "children", "start", "end")
+    ``open`` marks a span known only from its ``start`` record; its ``end``
+    is stretched to cover everything recorded under it.
+    """
+
+    __slots__ = ("rec", "children", "start", "end", "open")
 
     def __init__(self, rec: Dict[str, Any]) -> None:
         self.rec = rec
         self.children: List["_Node"] = []
         self.start = float(rec.get("t", 0.0))
         self.end = self.start + float(rec.get("wall_s", 0.0))
+        self.open = rec.get("kind") == "start"
 
 
 def _parent_key(rec: Dict[str, Any]) -> Optional[Tuple[int, int]]:
@@ -385,17 +401,19 @@ def _build_forest(
 ) -> Tuple[Dict[Tuple[int, int], _Node], List[_Node]]:
     """Index spans by (pid, id) and wire parent/link edges into trees.
 
-    A span whose parent key is absent (file not merged, or the parent
-    died before closing) becomes a root — analysis degrades to a forest
-    rather than failing.
+    A ``start`` record stands in for a span whose ``span`` record never
+    came.  A span whose parent key is absent (file not merged, or the
+    parent died before announcing itself) becomes a root — analysis
+    degrades to a forest rather than failing.
     """
     nodes: Dict[Tuple[int, int], _Node] = {}
-    for rec in records:
-        if rec.get("kind") != "span":
-            continue
-        key = (rec["pid"], rec["id"])
-        if key not in nodes:  # first writer wins on (illegal) duplicates
-            nodes[key] = _Node(rec)
+    for kind in ("span", "start"):
+        for rec in records:
+            if rec.get("kind") != kind:
+                continue
+            key = (rec["pid"], rec["id"])
+            if key not in nodes:  # first writer wins on (illegal) duplicates
+                nodes[key] = _Node(rec)
     roots: List[_Node] = []
     for key, node in nodes.items():
         pkey = _parent_key(node.rec)
@@ -407,6 +425,15 @@ def _build_forest(
     for node in nodes.values():
         node.children.sort(key=lambda n: (n.start, n.rec["pid"], n.rec["id"]))
     roots.sort(key=lambda n: (n.start, n.rec["pid"], n.rec["id"]))
+
+    def stretch(node: _Node) -> None:
+        for child in node.children:
+            stretch(child)
+        if node.open:
+            node.end = max([node.end] + [c.end for c in node.children])
+
+    for root in roots:
+        stretch(root)
     return nodes, roots
 
 
@@ -440,8 +467,8 @@ def build_timeline(
             "pid": rec["pid"],
             "id": rec["id"],
             "offset_s": node.start - t0,
-            "wall_s": float(rec.get("wall_s", 0.0)),
-            "status": rec.get("status", "ok"),
+            "wall_s": float(rec.get("wall_s", node.end - node.start)),
+            "status": "open" if node.open else rec.get("status", "ok"),
             "trace": rec.get("trace"),
             "tags": rec.get("tags", {}),
         })
@@ -454,7 +481,11 @@ def build_timeline(
 
 
 def format_timeline(rows: Sequence[Dict[str, Any]], width: int = 32) -> str:
-    """Render timeline rows as an indented table with an ASCII gantt lane."""
+    """Render timeline rows as an indented table with an ASCII gantt lane.
+
+    The mark after the lane is ``!`` for a span that failed and ``>`` for
+    one still open when its process stopped writing.
+    """
     if not rows:
         return "(no spans)"
     window = max(r["offset_s"] + r["wall_s"] for r in rows) or 1.0
@@ -475,7 +506,7 @@ def format_timeline(rows: Sequence[Dict[str, Any]], width: int = 32) -> str:
         left = min(left, width - 1)
         span_w = max(1, min(span_w, width - left))
         lane = " " * left + "█" * span_w
-        mark = "!" if r["status"] == "error" else " "
+        mark = {"error": "!", "open": ">"}.get(r["status"], " ")
         lines.append(
             f"{label:<{label_w}} {r['pid']:>7} {r['offset_s']:>10.4f} "
             f"{r['wall_s']:>10.4f} {lane:<{width}}{mark}"
@@ -600,17 +631,24 @@ def to_chrome_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
     Spans become complete (``"ph": "X"``) events with microsecond
     timestamps relative to the earliest record, grouped per source pid;
-    point events become instants.  Identity (trace id, span/parent ids,
+    an open-ended span (a ``start`` with no ``span``) becomes a begin
+    event with no end, which viewers draw to the end of the trace; point
+    events become instants.  Identity (trace id, span/parent ids,
     link) rides along in ``args`` so the original graph stays recoverable
     inside the viewer.
     """
     timed = [r for r in records if isinstance(r.get("t"), (int, float))]
     t0 = min((r["t"] for r in timed), default=0.0)
+    finished = {
+        (r.get("pid"), r.get("id")) for r in records if r.get("kind") == "span"
+    }
     out: List[Dict[str, Any]] = []
     for rec in records:
         kind = rec.get("kind")
         ts = (float(rec.get("t", t0)) - t0) * 1e6
-        if kind == "span":
+        if kind == "start" and (rec.get("pid"), rec.get("id")) in finished:
+            continue
+        if kind in ("span", "start"):
             args: Dict[str, Any] = {
                 "id": rec.get("id"),
                 "parent": rec.get("parent"),
@@ -620,7 +658,7 @@ def to_chrome_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             if rec.get("link") is not None:
                 args["link"] = list(rec["link"])
             args.update(rec.get("tags", {}) or {})
-            out.append({
+            event = {
                 "name": rec.get("name", "?"),
                 "cat": "span",
                 "ph": "X",
@@ -629,7 +667,11 @@ def to_chrome_trace(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
                 "ts": ts,
                 "dur": max(0.0, float(rec.get("wall_s", 0.0))) * 1e6,
                 "args": args,
-            })
+            }
+            if kind == "start":
+                event["ph"] = "B"
+                del event["dur"]
+            out.append(event)
         elif kind == "event":
             out.append({
                 "name": rec.get("name", "?"),

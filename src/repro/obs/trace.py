@@ -7,6 +7,14 @@ enclosing span (``budget.heartbeat``, ``journal.resume``).  Every finished
 record is written as one JSON line, so a trace can be streamed, grepped,
 truncated, and concatenated without a reader that understands framing.
 
+Spans still open when the sink flushes get a ``start`` record (the span's
+identity, parent, tags and start time, but no duration) written ahead of
+the flushed batch.  A process killed mid-span therefore never leaves a
+record on disk whose parent cannot be resolved: the parent either closed
+(its ``span`` record is in the file) or was announced open.  Readers show
+a ``start`` without its ``span`` as open-ended.  A span that opens and
+closes between two flushes — the common case — writes no ``start`` record.
+
 Determinism: span ids are a per-tracer counter (not random), records are
 serialized with sorted keys, and each record carries the producing ``pid``
 so per-worker trace files can be concatenated into one trace while keeping
@@ -37,7 +45,9 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -174,6 +184,9 @@ class JsonlSink:
     Flushes every :data:`FLUSH_EVERY` records and on :meth:`flush`/
     :meth:`close`, trading a bounded tail loss on SIGKILL for not paying a
     syscall per span in span-dense phases (MSD enumeration emits thousands).
+    Records wait in memory, not in the file object's buffer, so the file
+    changes only at a flush — the one point where ``before_flush`` (set by
+    the :class:`Tracer`) can put the batch's open parents ahead of it.
     """
 
     FLUSH_EVERY = 64
@@ -182,43 +195,48 @@ class JsonlSink:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w", encoding="utf-8")
-        self._pending = 0
+        self._lines: List[str] = []
+        #: Called at each flush of a non-empty batch; the records it
+        #: returns are written ahead of the batch.
+        self.before_flush: Optional[Callable[[], List[Dict[str, Any]]]] = None
+
+    @staticmethod
+    def _line(record: Dict[str, Any]) -> str:
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
     def write(self, record: Dict[str, Any]) -> None:
         """Serialize one record (sorted keys, compact separators)."""
-        with _SINK_FORK_LOCK:
-            if self._fh is None:
-                return
-            self._fh.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            self._pending += 1
-            if self._pending >= self.FLUSH_EVERY:
-                self.flush()
+        self.write_lines((self._line(record),))
 
-    def write_raw(self, line: str) -> None:
-        """Append an already-serialized record line (spill-file merging)."""
+    def write_lines(self, lines: Sequence[str]) -> None:
+        """Append already-serialized record lines, each ending in a newline.
+
+        The lines land in one batch, never split by a flush.  Merging a
+        worker's spill file relies on it: the file lists children before
+        their parents (exit order), so a split could leave children on disk
+        and their parents in a killed process's memory.
+        """
         with _SINK_FORK_LOCK:
             if self._fh is None:
                 return
-            if not line.endswith("\n"):
-                line += "\n"
-            self._fh.write(line)
-            self._pending += 1
-            if self._pending >= self.FLUSH_EVERY:
+            self._lines.extend(lines)
+            if len(self._lines) >= self.FLUSH_EVERY:
                 self.flush()
 
     def flush(self) -> None:
         with _SINK_FORK_LOCK:
-            if self._fh is not None:
-                self._fh.flush()
-                self._pending = 0
+            if self._fh is None:
+                return
+            lines, self._lines = self._lines, []
+            if lines and self.before_flush is not None:
+                lines[:0] = [self._line(r) for r in self.before_flush()]
+            self._fh.write("".join(lines))
+            self._fh.flush()
 
     def close(self) -> None:
         with _SINK_FORK_LOCK:
             if self._fh is not None:
-                self._fh.flush()
+                self.flush()
                 self._fh.close()
                 self._fh = None
 
@@ -237,6 +255,7 @@ class JsonlSink:
         with _SINK_FORK_LOCK:
             fh = self._fh
             self._fh = None
+            self._lines = []
         if fh is None:
             return
         try:
@@ -350,6 +369,11 @@ class Tracer:
         self.trace_id = trace_id if trace_id is not None else make_trace_id()
         self.default_link = default_link
         self.profiler = None
+        #: Entered spans, every thread's, not yet announced by a ``start``
+        #: record nor closed.  Single dict operations only (atomic under
+        #: the GIL), so span entry takes no lock.
+        self._unannounced: Dict[int, Span] = {}
+        sink.before_flush = self._start_records
 
     # -- span stack ----------------------------------------------------------
 
@@ -362,6 +386,7 @@ class Tracer:
 
     def _push(self, span: Span) -> None:
         self._stack().append(span)
+        self._unannounced[span.span_id] = span
 
     def _pop(self, span: Span) -> None:
         stack = self._stack()
@@ -436,29 +461,52 @@ class Tracer:
             "tags": _json_safe_tags(tags),
         })
 
-    def _emit_span(self, span: Span, status: str, error: Optional[str]) -> None:
-        wall_s = max(0.0, self._clock() - span._t0)
+    def _span_record(self, span: Span, kind: str) -> Dict[str, Any]:
+        """The fields a ``span`` record and a ``start`` record share."""
         record: Dict[str, Any] = {
             "v": TRACE_FORMAT_VERSION,
-            "kind": "span",
+            "kind": kind,
             "name": span.name,
             "id": span.span_id,
             "parent": span.parent_id,
             "pid": self.pid,
             "t": span.start_ts,
-            "wall_s": wall_s,
-            "cpu_s": max(0.0, self._cpu_clock() - span._cpu0),
-            "status": status,
             "trace": span.trace_id,
             "tags": _json_safe_tags(span.tags),
         }
         if span.parent_id is None and span.link is not None:
             record["link"] = [span.link[0], span.link[1]]
+        return record
+
+    def _emit_span(self, span: Span, status: str, error: Optional[str]) -> None:
+        wall_s = max(0.0, self._clock() - span._t0)
+        record = self._span_record(span, "span")
+        record["wall_s"] = wall_s
+        record["cpu_s"] = max(0.0, self._cpu_clock() - span._cpu0)
+        record["status"] = status
         if error is not None:
             record["error"] = error
-        self.sink.write(record)
+        with _SINK_FORK_LOCK:
+            # Retire and write in one step: a flush from another thread in
+            # between would write neither a start nor a span record for it.
+            self._unannounced.pop(span.span_id, None)
+            self.sink.write(record)
         if self._on_span is not None:
             self._on_span(span.name, wall_s)
+
+    def _start_records(self) -> List[Dict[str, Any]]:
+        """``start`` records for every open span not yet announced.
+
+        Runs under the sink lock (from :meth:`JsonlSink.flush`), the lock
+        :meth:`_emit_span` retires spans under, so only :meth:`_push` can
+        touch the dict meanwhile, and it only adds.
+        """
+        spans = [
+            self._unannounced.popitem()[1]
+            for _ in range(len(self._unannounced))
+        ]
+        spans.sort(key=lambda sp: sp.span_id)
+        return [self._span_record(sp, "start") for sp in spans]
 
     def flush(self) -> None:
         self.sink.flush()

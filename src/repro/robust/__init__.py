@@ -14,13 +14,11 @@ from .chaos import (
     FAULT_CLASSES,
     MUTATION_OPERATORS,
     PROCESS_FAULT_CLASSES,
-    CacheFaultInjector,
     ChaosFault,
     ChaosHarness,
     Injection,
     NetlistMutator,
     ProcessFaultPlan,
-    StoreFaultInjector,
     clone_netlist,
 )
 from .netchaos import (
@@ -41,7 +39,6 @@ from .degrade import (
 __all__ = [
     "AttemptRecord",
     "BudgetExceeded",
-    "CacheFaultInjector",
     "ChaosFault",
     "ChaosHarness",
     "CoverBudgetError",
@@ -56,7 +53,6 @@ __all__ = [
     "NetlistMutator",
     "PROCESS_FAULT_CLASSES",
     "ProcessFaultPlan",
-    "StoreFaultInjector",
     "RobustConfig",
     "RobustResult",
     "STAGES",

@@ -21,16 +21,15 @@ actually fired for test assertions.
 
 Beyond in-process stage faults, :class:`ProcessFaultPlan` describes
 *process-level* fault schedules for the sweep engine
-(:mod:`repro.eval.parallel`): seeded worker SIGKILLs, injected slow tasks,
-and cache-write corruption / ENOSPC simulation.  Decisions are pure
-functions of ``(seed, task key, attempt)`` via SHA-256 — independent of
-execution order, interning, or ``PYTHONHASHSEED`` — so a fault sequence
-replays identically across processes and runs.
+(:mod:`repro.eval.parallel`): seeded worker SIGKILLs and injected slow
+tasks.  Decisions are pure functions of ``(seed, task key, attempt)`` via
+SHA-256 — independent of execution order, interning, or
+``PYTHONHASHSEED`` — so a fault sequence replays identically across
+processes and runs.
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import os
 import random
@@ -50,21 +49,19 @@ __all__ = [
     "FAULT_CLASSES",
     "MUTATION_OPERATORS",
     "PROCESS_FAULT_CLASSES",
-    "CacheFaultInjector",
     "ChaosFault",
     "ChaosHarness",
     "Injection",
     "NetlistMutator",
     "ProcessFaultPlan",
     "ServiceFaultPlan",
-    "StoreFaultInjector",
     "clone_netlist",
 ]
 
 FAULT_CLASSES = ("exception", "deadline", "corruption")
 
 #: Fault classes a :class:`ProcessFaultPlan` can schedule.
-PROCESS_FAULT_CLASSES = ("kill", "slow", "cache_truncate", "cache_enospc")
+PROCESS_FAULT_CLASSES = ("kill", "slow")
 
 
 class ChaosFault(RuntimeError):
@@ -534,9 +531,9 @@ class ProcessFaultPlan:
     SIGKILL their worker (recoverable: retries succeed); ``poison_tasks``
     lists task keys that kill on *every* attempt (the supervisor must
     quarantine them).  ``slow_rate``/``slow_s`` injects sleeps to simulate
-    stragglers, and the ``cache_*_rate`` knobs arm a
-    :class:`CacheFaultInjector` that corrupts or ENOSPC-fails disk-cache
-    writes.
+    stragglers.  Disk faults (cache writes, WAL appends) are not part of
+    the plan: they come from
+    :class:`repro.robust.crashsim.FaultPointFabric`.
     """
 
     seed: int = 0
@@ -545,12 +542,9 @@ class ProcessFaultPlan:
     poison_tasks: Tuple[str, ...] = ()
     slow_rate: float = 0.0
     slow_s: float = 0.05
-    cache_truncate_rate: float = 0.0
-    cache_enospc_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("kill_rate", "slow_rate", "cache_truncate_rate",
-                     "cache_enospc_rate"):
+        for name in ("kill_rate", "slow_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ReproError(f"{name} must be in [0, 1], got {value}")
@@ -589,107 +583,12 @@ class ProcessFaultPlan:
         if self.should_kill(key, attempt):
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def cache_injector(self) -> Optional["CacheFaultInjector"]:
-        """The cache-write fault injector this plan calls for, if any."""
-        if self.cache_truncate_rate <= 0.0 and self.cache_enospc_rate <= 0.0:
-            return None
-        return CacheFaultInjector(
-            seed=self.seed,
-            truncate_rate=self.cache_truncate_rate,
-            enospc_rate=self.cache_enospc_rate,
-        )
-
-
-@dataclass(frozen=True)
-class CacheFaultInjector:
-    """Deterministic write-fault decisions for :class:`~repro.eval.cache.DiskCache`.
-
-    Installed via :func:`repro.eval.cache.install_fault_injector`; consulted
-    once per ``put``.  ``"truncate"`` persists a torn JSON body (simulating
-    filesystem corruption under a crash), ``"enospc"`` raises
-    ``OSError(ENOSPC)`` before any byte is written (simulating a full disk).
-    Draws are keyed by the cache key, so the same entry fails the same way
-    in every process.
-    """
-
-    seed: int = 0
-    truncate_rate: float = 0.0
-    enospc_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("truncate_rate", "enospc_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ReproError(f"{name} must be in [0, 1], got {value}")
-
-    def draw_put(self, key: str) -> Optional[str]:
-        """``"truncate"``, ``"enospc"``, or ``None`` for this cache write."""
-        if _stable_unit(self.seed, "cache_enospc", key) < self.enospc_rate:
-            return "enospc"
-        if _stable_unit(self.seed, "cache_truncate", key) < self.truncate_rate:
-            return "truncate"
-        return None
-
-    def enospc_error(self, key: str) -> OSError:
-        """The ENOSPC ``OSError`` to raise for ``key``'s write."""
-        return OSError(
-            errno.ENOSPC, f"chaos: no space left on device (cache key {key})"
-        )
-
-
-@dataclass(frozen=True)
-class StoreFaultInjector:
-    """Deterministic WAL-append fault decisions for the service job store.
-
-    Installed via ``JobStore(..., fault_injector=...)``; consulted once per
-    append.  ``"enospc"`` raises ``OSError(ENOSPC)`` *before* the record
-    reaches the log, exercising the store's rollback path: the job must
-    surface as a 503 with ``Retry-After`` and never be acknowledged, not
-    crash the server or leave a phantom in-memory job.  Draws are keyed by
-    ``(job_id, append ordinal)`` so the same job can fail its first append
-    and succeed its retry — the shape a client-visible 503-then-retry
-    certification needs.
-    """
-
-    seed: int = 0
-    enospc_rate: float = 0.0
-    #: Fail at most this many appends in total (None = unlimited).
-    max_faults: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.enospc_rate <= 1.0:
-            raise ReproError(
-                f"enospc_rate must be in [0, 1], got {self.enospc_rate}"
-            )
-        # Mutable bookkeeping on a frozen dataclass: ordinals and the
-        # fault count live in a plain dict slipped past __setattr__.
-        object.__setattr__(self, "_state", {"ordinals": {}, "fired": 0})
-
-    def draw_append(self, job_id: str) -> Optional[str]:
-        """``"enospc"`` or ``None`` for this append of ``job_id``."""
-        state = self._state
-        ordinal = state["ordinals"].get(job_id, 0)
-        state["ordinals"][job_id] = ordinal + 1
-        if self.max_faults is not None and state["fired"] >= self.max_faults:
-            return None
-        key = f"{job_id}#{ordinal}"
-        if _stable_unit(self.seed, "store_enospc", key) < self.enospc_rate:
-            state["fired"] += 1
-            return "enospc"
-        return None
-
-    def enospc_error(self, job_id: str) -> OSError:
-        """The ENOSPC ``OSError`` to raise for ``job_id``'s append."""
-        return OSError(
-            errno.ENOSPC, f"chaos: no space left on device (job {job_id})"
-        )
-
 
 @dataclass(frozen=True)
 class ServiceFaultPlan:
     """A deterministic fault schedule for the job service under test.
 
-    Composes the process-level plan (worker kills, cache faults — threaded
+    Composes the process-level plan (worker kills and stragglers — threaded
     into every sweep the service runs) with *service-level* load patterns:
     :meth:`flood_specs` enumerates a deterministic set of distinct job
     specs for request-flood tests, spread round-robin across

@@ -15,7 +15,8 @@ Every ``open``/``write``/``fsync``/``replace``/``unlink``/``mkdir``/
   "remove one fsync" probe that proves the certifier catches a real
   durability hole.
 * :class:`FaultPointFabric` raises ``ENOSPC`` at a chosen operation — the
-  mid-compaction / mid-artifact-write fault the store tests inject.
+  one disk-fault seam: mid-compaction, mid-artifact-write, a failed WAL
+  fsync, a full cache directory.
 
 Workloads additionally mark acknowledgement points with :meth:`IoFabric.ack`
 (the moment an ``append()`` returns or an HTTP 2xx becomes reachable); acks
@@ -441,8 +442,15 @@ class FaultPointFabric(_Delegating):
         return self.inner.mkstemp(directory, prefix, suffix)
 
     def fsync(self, fh) -> None:
-        self._maybe_fail("fsync", getattr(fh, "fabric_path", ""))
+        # Recording fabrics hand out FabricFiles; RealIo hands out plain
+        # file objects, whose path is their ``name``.
+        path = getattr(fh, "fabric_path", None) or getattr(fh, "name", "")
+        self._maybe_fail("fsync", path)
         self.inner.fsync(fh)
+
+    def truncate(self, path, size) -> None:
+        self._maybe_fail("truncate", path)
+        self.inner.truncate(path, size)
 
     def replace(self, src, dst) -> None:
         self._maybe_fail("replace", dst)

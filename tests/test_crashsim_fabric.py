@@ -224,3 +224,27 @@ class TestFaultPointFabric:
             with pytest.raises(OSError):
                 fab.fsync(fh)
         assert fab.fired
+
+    def test_fsync_fault_sees_real_file_path(self, tmp_path):
+        # RealIo hands out plain file objects: the predicate must still see
+        # the path, or a fault aimed at one file never fires.
+        fab = FaultPointFabric(
+            RealIo(),
+            lambda kind, path: kind == "fsync" and path.endswith("wal"),
+        )
+        with fab.open(tmp_path / "other", "w") as fh:
+            fab.fsync(fh)
+        assert not fab.fired
+        with fab.open(tmp_path / "wal", "w") as fh:
+            fh.write("rec")
+            with pytest.raises(OSError) as excinfo:
+                fab.fsync(fh)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert fab.fired
+
+    def test_truncate_fault_leaves_file_untouched(self, tmp_path):
+        (tmp_path / "wal").write_text("record", encoding="utf-8")
+        fab = FaultPointFabric(RealIo(), lambda kind, path: kind == "truncate")
+        with pytest.raises(OSError):
+            fab.truncate(tmp_path / "wal", 0)
+        assert (tmp_path / "wal").read_text(encoding="utf-8") == "record"

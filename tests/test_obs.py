@@ -562,3 +562,119 @@ def test_abandoned_sink_never_flushes_inherited_buffer(tmp_path):
     records = [json.loads(line) for line in path.read_text(
         encoding="utf-8").splitlines()]
     assert [r["name"] for r in records] == ["parent.work"]
+
+
+# --- spans open across a flush -----------------------------------------------
+
+
+def test_span_open_across_a_flush_is_announced_once(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tracer = Tracer(JsonlSink(path))
+    with tracer.span("outer"):
+        with tracer.span("inner"):
+            tracer.event("marker")
+        tracer.flush()
+        # What a SIGKILL right here would leave: the inner span's parent
+        # is still open, so a start record announces it ahead of the batch.
+        on_disk = load_trace(path)
+        tracer.flush()  # an empty batch announces nothing
+    tracer.close()
+    assert [(r["kind"], r["name"]) for r in on_disk] == [
+        ("start", "outer"), ("event", "marker"), ("span", "inner"),
+    ]
+    assert validate_trace(on_disk) == []
+    records = load_trace(path)
+    assert [(r["kind"], r["name"]) for r in records] == [
+        ("start", "outer"), ("event", "marker"), ("span", "inner"),
+        ("span", "outer"),
+    ]
+    assert validate_trace(records) == []
+    start, outer = records[0], records[-1]
+    assert (start["pid"], start["id"]) == (outer["pid"], outer["id"])
+    assert start["t"] == outer["t"]
+
+
+def test_sigkilled_process_leaves_open_parents_resolvable(tmp_path):
+    import os
+    import signal
+
+    from repro.obs.report import (
+        build_timeline, format_timeline, to_chrome_trace,
+    )
+
+    path = tmp_path / "t.jsonl"
+    pid = os.fork()
+    if pid == 0:  # child: die mid-span, right after a flush
+        try:
+            tracer = Tracer(JsonlSink(path))
+            with tracer.span("service.job"):
+                with tracer.span("sweep.precompute"):
+                    with tracer.span("sweep.wave"):
+                        pass
+                    tracer.flush()
+                    os.kill(os.getpid(), signal.SIGKILL)
+        finally:
+            os._exit(1)  # reached only if the kill did not happen
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status)
+    assert os.WTERMSIG(status) == signal.SIGKILL
+    records = load_trace(path)
+    assert validate_trace(records) == []
+    rows = build_timeline(records)
+    assert [(r["name"], r["depth"], r["status"]) for r in rows] == [
+        ("service.job", 0, "open"),
+        ("sweep.precompute", 1, "open"),
+        ("sweep.wave", 2, "ok"),
+    ]
+    assert ">" in format_timeline(rows)
+    events = to_chrome_trace(records)["traceEvents"]
+    assert sorted(e["ph"] for e in events) == ["B", "B", "X"]
+    # Stats need a duration: only the finished span is counted.
+    assert [p.name for p in phase_breakdown(records)] == ["sweep.wave"]
+
+
+def test_validate_trace_start_records():
+    start = {
+        "v": TRACE_FORMAT_VERSION, "kind": "start", "name": "outer",
+        "id": 1, "parent": None, "pid": 1, "t": 0.0, "tags": {},
+    }
+    child = _linked("inner", 2, 1, 0.5)
+    assert validate_trace([start, child]) == []
+    # A start and a span for one key is the normal closed-later case...
+    closed = _linked("outer", 1, None, 1.0)
+    assert validate_trace([start, child, closed]) == []
+    # ...two starts for one key is not.
+    assert validate_trace([start, dict(start), child])
+    assert validate_trace([{k: v for k, v in start.items() if k != "id"}])
+
+
+def test_job_trace_continuity_accepts_an_announced_open_parent():
+    from repro.obs.report import job_trace_continuity
+
+    records = _job_fixture()
+    wave = next(r for r in records if r["name"] == "sweep.wave")
+    start = {
+        k: v for k, v in wave.items()
+        if k not in ("wall_s", "cpu_s", "status")
+    }
+    start["kind"] = "start"
+    killed = [r for r in records if r is not wave] + [start]
+    assert job_trace_continuity(killed, "job-x") == []
+
+
+def test_drained_spill_file_is_never_split_across_flushes(tmp_path):
+    # A worker task with more records than one flush batch: its children
+    # precede the task span in the file (exit order), so a flush inside
+    # the merge would put children on disk whose parent a kill loses.
+    trace = tmp_path / "parent.jsonl"
+    obs.configure(trace_path=trace)
+    spill, want_trace, ctx = obs.worker_args()
+    records = [_span(f"child.{i}", i + 2, 1, 0.001, pid=42)
+               for i in range(JsonlSink.FLUSH_EVERY + 10)]
+    records.append(_span("sweep.task", 1, None, 1.0, pid=42))
+    with open(f"{spill}/trace-42-1.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+    obs.drain_spill()
+    on_disk = load_trace(trace)  # what a SIGKILL right now would leave
+    assert len(on_disk) == len(records)
+    assert validate_trace(on_disk) == []

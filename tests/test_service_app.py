@@ -371,14 +371,22 @@ class TestArtifacts:
 
 @pytest.fixture()
 def flaky_store(tmp_path):
-    """An idle server whose first WAL append fails with ENOSPC."""
-    from repro.robust.chaos import StoreFaultInjector
+    """An idle server whose first WAL append fails with ENOSPC.
 
-    config = ServiceConfig(
-        data_dir=tmp_path / "data", port=0,
-        store_chaos=StoreFaultInjector(seed=3, enospc_rate=1.0, max_faults=1),
+    The fault is a real one: the append's fsync of ``jobs.wal`` fails
+    after the record was written.  The fabric is armed once the store
+    exists, since creating the log fsyncs it too.
+    """
+    from repro.robust.crashsim import fabric as iofabric
+    from repro.robust.crashsim.fabric import FaultPointFabric
+
+    service = SynthesisService(
+        ServiceConfig(data_dir=tmp_path / "data", port=0)
     )
-    service = SynthesisService(config)
+    previous = iofabric.install(FaultPointFabric(
+        iofabric.active(),
+        lambda kind, path: kind == "fsync" and path.endswith("jobs.wal"),
+    ))
 
     class _Handler(ServiceHTTPHandler):
         pass
@@ -391,6 +399,7 @@ def flaky_store(tmp_path):
     yield {"port": server.server_address[1], "service": service}
     server.shutdown()
     server.server_close()
+    iofabric.install(previous)
     service.store.close()
 
 
@@ -406,7 +415,7 @@ class TestStoreUnavailable:
         # Never acknowledged: the job does not exist server-side.
         listing = request_json(port, "GET", "/v1/jobs")[2]
         assert listing["jobs"] == []
-        # The injector spends its single fault above, so the client's
+        # The fabric spends its single fault above, so the client's
         # retry — the behavior Retry-After asks for — succeeds.
         status, _, view = request_json(port, "POST", "/v1/jobs", dict(SPEC))
         assert status == 201 and view["state"] == "queued"

@@ -358,54 +358,114 @@ class TestConcurrency:
         assert sum(1 for _, enqueue in results if enqueue) == 1
 
 
+def _wal_op(kind):
+    """Predicate matching ``kind`` operations on the job store's WAL."""
+    return lambda op, path: op == kind and path.endswith("jobs.wal")
+
+
 class TestWalFaults:
-    """A failed WAL append must never acknowledge — or corrupt — a job."""
+    """A failed WAL append must never acknowledge — or corrupt — a job.
 
-    def _store(self, tmp_path, **injector_options):
-        from repro.robust.chaos import StoreFaultInjector
+    The faults are real: a :class:`FaultPointFabric` over ``RealIo`` fails
+    the append's ``fsync`` after the record was written, so the log's own
+    rollback is what keeps the refused record off disk.  The fabric is
+    armed only after the store exists (creating the log fsyncs it too).
+    """
 
-        injector = StoreFaultInjector(**injector_options)
-        return JobStore(tmp_path, fault_injector=injector), injector
+    def _arm(self, *kinds):
+        from repro.robust.crashsim import fabric as iofabric
+        from repro.robust.crashsim.fabric import FaultPointFabric
+
+        fabric = iofabric.active()
+        for kind in kinds:
+            fabric = FaultPointFabric(fabric, _wal_op(kind))
+        return iofabric.scope(fabric)
 
     def test_enospc_on_submit_never_acknowledges(self, tmp_path):
         from repro.errors import StoreUnavailable
 
-        store, _ = self._store(tmp_path, seed=3, enospc_rate=1.0)
-        with pytest.raises(StoreUnavailable) as excinfo:
-            store.submit(make_spec(), "t", 30.0, 300.0)
+        store = JobStore(tmp_path)
+        with self._arm("fsync") as fabric:
+            with pytest.raises(StoreUnavailable) as excinfo:
+                store.submit(make_spec(), "t", 30.0, 300.0)
+        assert fabric.fired
         assert excinfo.value.retry_after_s > 0.0
         # Rolled back completely: the job is unknown in memory...
         assert store.list_jobs() == []
         assert store.append_errors == 1
         # ...and on disk — a fresh recovery sees an empty table.
+        store.close()
         assert JobStore(tmp_path).list_jobs() == []
 
     def test_retry_after_transient_enospc_succeeds(self, tmp_path):
         from repro.errors import StoreUnavailable
 
-        store, _ = self._store(
-            tmp_path, seed=3, enospc_rate=1.0, max_faults=1
-        )
-        with pytest.raises(StoreUnavailable):
-            store.submit(make_spec(), "t", 30.0, 300.0)
-        record, enqueue = store.submit(make_spec(), "t", 30.0, 300.0)
+        store = JobStore(tmp_path)
+        with self._arm("fsync"):
+            with pytest.raises(StoreUnavailable):
+                store.submit(make_spec(), "t", 30.0, 300.0)
+            # The fault fired once; the retry lands on a healthy disk.
+            record, enqueue = store.submit(make_spec(), "t", 30.0, 300.0)
         assert enqueue and record.state == JobState.QUEUED
+        store.close()
+        assert JobStore(tmp_path).get(record.job_id).state == JobState.QUEUED
 
     def test_enospc_on_transition_keeps_previous_state(self, tmp_path):
         from repro.errors import StoreUnavailable
-        from repro.robust.chaos import StoreFaultInjector
 
         store = JobStore(tmp_path)
         record, _ = store.submit(make_spec(), "t", 30.0, 300.0)
         before = store.get(record.job_id)
-        store.fault_injector = StoreFaultInjector(seed=3, enospc_rate=1.0)
-        with pytest.raises(StoreUnavailable):
-            store.transition(record.job_id, JobState.RUNNING)
+        with self._arm("fsync"):
+            with pytest.raises(StoreUnavailable):
+                store.transition(record.job_id, JobState.RUNNING)
         after = store.get(record.job_id)
         assert after.state == JobState.QUEUED
         assert after.revision == before.revision
         # The failed transition is absent from durable history too.
+        store.close()
         assert JobStore(tmp_path).get(record.job_id).state == JobState.QUEUED
+
+    def test_refused_appends_stay_refused_after_restart(self, tmp_path):
+        from repro.errors import StoreUnavailable
+
+        store = JobStore(tmp_path)
+        kept, _ = store.submit(make_spec(filters=[0]), "t", 30.0, 300.0)
+        store.transition(kept.job_id, JobState.RUNNING)
+        refused = make_spec(filters=[1])
+        with self._arm("fsync"):
+            with pytest.raises(StoreUnavailable):
+                store.submit(refused, "t", 30.0, 300.0)
+        with self._arm("fsync"):
+            with pytest.raises(StoreUnavailable):
+                store.transition(kept.job_id, JobState.FAILED)
+        assert store.get(kept.job_id).state == JobState.RUNNING
+        # The log keeps appending on a clean record boundary.
+        later, _ = store.submit(make_spec(filters=[2]), "t", 30.0, 300.0)
+        store.close()
+
+        restarted = JobStore(tmp_path)
+        ids = {record.job_id for record in restarted.list_jobs()}
+        assert ids == {kept.job_id, later.job_id}
+        # Still "running" when the server died, so recovery requeues it;
+        # the refused FAILED never happened.
+        assert restarted.get(kept.job_id).state == JobState.QUEUED
+        restarted.close()
+
+    def test_failed_rollback_refuses_every_later_append(self, tmp_path):
+        from repro.errors import StoreUnavailable
+
+        store = JobStore(tmp_path)
+        with self._arm("fsync", "truncate"):
+            with pytest.raises(StoreUnavailable):
+                store.submit(make_spec(filters=[0]), "t", 30.0, 300.0)
+        # The disk is healthy again, but the log's tail is unknown: it
+        # must not acknowledge anything written after it.
+        with pytest.raises(StoreUnavailable):
+            store.submit(make_spec(filters=[1]), "t", 30.0, 300.0)
+        assert store.list_jobs() == []
+        assert store.append_errors == 2
+        store.close()
 
 
 class TestLongPollPlumbing:

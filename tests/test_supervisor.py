@@ -48,11 +48,9 @@ RESTRICT = dict(filter_indices=[0, 1], wordlengths=[8])
 def _pristine_caches():
     clear_cache()
     disk_cache.configure(None)
-    disk_cache.install_fault_injector(None)
     yield
     clear_cache()
     disk_cache.configure(None)
-    disk_cache.install_fault_injector(None)
 
 
 def _serial_json():
@@ -278,11 +276,17 @@ class TestCacheChaos:
     def test_truncated_cache_writes_quarantined_on_read(self, tmp_path):
         want = _serial_json()
         cache_dir = tmp_path / "cache"
-        chaos = ProcessFaultPlan(seed=3, cache_truncate_rate=1.0)
         first = run_sweep_supervised(
-            IDS, jobs=1, cache_dir=cache_dir, chaos=chaos, **RESTRICT
+            IDS, jobs=1, cache_dir=cache_dir, **RESTRICT
         )
         assert sweep_to_json(first.outcomes) == want
+        # Tear every entry on disk, as a crash mid-write would.
+        torn = 0
+        for entry in cache_dir.glob("??/*.json"):
+            body = entry.read_text(encoding="utf-8")
+            entry.write_text(body[: len(body) // 2], encoding="utf-8")
+            torn += 1
+        assert torn > 0
         clear_cache()
         # Second run hits only corrupt entries: each is quarantined (not
         # unlinked), recomputed, and the sweep still matches serial bytes.
@@ -290,16 +294,27 @@ class TestCacheChaos:
             IDS, jobs=1, cache_dir=cache_dir, **RESTRICT
         )
         active = disk_cache.active_cache()
-        assert active.stats.quarantined > 0
+        assert active.stats.quarantined == torn
         assert active.quarantined_entries() == active.stats.quarantined
         assert sweep_to_json(second.outcomes) == want
 
     def test_enospc_faults_do_not_fail_the_sweep(self, tmp_path):
+        from repro.robust.crashsim import fabric as iofabric
+        from repro.robust.crashsim.fabric import FaultPointFabric
+
         want = _serial_json()
-        chaos = ProcessFaultPlan(seed=3, cache_enospc_rate=1.0)
-        report = run_sweep_supervised(
-            IDS, jobs=1, cache_dir=tmp_path / "cache", chaos=chaos, **RESTRICT
+        cache_dir = tmp_path / "cache"
+        fabric = FaultPointFabric(
+            iofabric.active(),
+            lambda kind, path: (
+                kind == "mkstemp" and path.startswith(str(cache_dir))
+            ),
         )
+        with iofabric.scope(fabric):
+            report = run_sweep_supervised(
+                IDS, jobs=1, cache_dir=cache_dir, **RESTRICT
+            )
+        assert fabric.fired
         assert not report.failed_tasks
         assert disk_cache.active_cache().stats.put_errors > 0
         assert sweep_to_json(report.outcomes) == want
