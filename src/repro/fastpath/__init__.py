@@ -11,10 +11,13 @@ netlist.  This package provides drop-in fast kernels for all three:
   (``popcount``-identity CSD weights) used instead of building a
   :class:`~repro.numrep.SignedDigits` string per color.
 * :mod:`repro.fastpath.graphbuild` — the colored graph built as flat
-  per-edge columns (primary color, color shift, color sign) by a numpy
-  kernel (int64 broadcasting + ``np.bitwise_count``) or a pure-python
-  fallback, grouped into color sets in one shared pass; the graph makes
-  edge objects only for the colors the spanning forest asks for.
+  per-edge columns (primary color, color shift, color sign, digit cost) by
+  a numpy kernel (int64 broadcasting + ``np.bitwise_count``) or a
+  pure-python fallback, sorted into a CSR (color, vertex) incidence by one
+  shared ``np.lexsort`` pass that any numpy release runs; the graph answers
+  color-set queries and builds the greedy's cover index from that
+  incidence, and makes edge objects only for the colors the spanning
+  forest asks for.
 * :mod:`repro.fastpath.msdtables` — snapshot/restore/warm helpers around the
   process-local MSD digit table kept by :mod:`repro.numrep.msd`, so sweep
   workers inherit the parent's warmed tables at fork (or via the pool

@@ -1,13 +1,15 @@
 """Batch construction of the SIDC colored multigraph, as flat columns.
 
 Equivalent to :func:`repro.graph.colored._build_edges` — same edges, same
-fields, same order — but it makes no per-edge object.  A kernel computes
-three flat columns over all ``2 * (max_shift + 1) * M * (M - 1)`` edges in
-the reference order ``(src, dst, shift, sign)``, the ``src == dst`` pairs
-left out: each edge's primary color, color shift and color sign.  It also
-collects each color's digit cost.  One shared pass then groups the primary
-column into the color sets, and the columns become a
-:class:`~repro.graph.colored.ColumnarGraph`, which makes
+fields, same order — but it makes no per-edge or per-color object.  A
+kernel computes four flat columns over all ``2 * (max_shift + 1) * M *
+(M - 1)`` edges in the reference order ``(src, dst, shift, sign)``, the
+``src == dst`` pairs left out: each edge's primary color, color shift,
+color sign and color digit cost.  One shared pass, :func:`_incidence`, then
+sorts the primary column into the deduplicated (color, vertex) incidence in
+CSR form, and the columns become a
+:class:`~repro.graph.colored.ColumnarGraph`, which answers the color-set
+queries from the incidence and makes
 :class:`~repro.graph.colored.ColorEdge` objects only for the edges the
 spanning forest asks for.
 
@@ -19,41 +21,67 @@ Against the reference loop:
   trick ``mag & -mag``;
 * with a capable numpy, the columns and the digit costs are computed by
   int64 broadcasting; the pure-python kernel computes the same columns over
-  precomputed shift tables.
+  precomputed shift tables;
+* the color sets are one ``np.lexsort`` over (color, vertex) instead of one
+  Python set per color.  The pass needs no ``np.bitwise_count``, so it
+  serves both kernels on any numpy release; past the int64 bound it sorts
+  object arrays of Python ints.
 
 Column order is bit-for-bit the reference order, so every edge list the
 graph hands out — and therefore every exported artifact — is unchanged.
 ``tests/test_fastpath_equivalence.py`` locks this down.
 
-The cooperative ``budget`` is charged once per ordered vertex pair exactly
-like the reference, in the grouping pass.  Both kernels compute their
-columns before the first checkpoint, so an exhausted budget still raises at
-the same node count, merely after the column arithmetic instead of before
-it.
+The cooperative ``budget`` is charged one node per ordered vertex pair, as
+the reference charges it, in one ``spend_units`` call after the columns are
+computed: an exhausted budget still raises at the same node count with the
+same message, merely after the column arithmetic instead of before it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..errors import GraphError
 from ..numrep import Representation
 from .digitcost import fast_cost_fn
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
+    import numpy as np
+
     from ..graph.colored import ColumnarGraph
     from ..robust.budget import SolverBudget
 
-__all__ = ["build_graph_fast"]
+__all__ = ["Incidence", "build_graph_fast"]
 
 #: Values at or above this bound leave the numpy int64 comfort zone
 #: (``3 * xi`` must not overflow); the builder silently drops to the
-#: pure-python kernel, which works on arbitrary-precision ints.
+#: pure-python kernel, which works on arbitrary-precision ints, and the
+#: incidence pass sorts object arrays.
 _NUMPY_VALUE_BOUND = 1 << 60
 
-#: A kernel's output: primary colors, color shifts and color signs per
-#: edge, and each primary color's digit cost (first-appearance order).
-_Columns = Tuple[List[int], List[int], List[int], Dict[int, int]]
+#: A kernel's output, one entry per edge: primary color, color shift,
+#: color sign and the primary color's digit cost.
+_Columns = Tuple[Sequence[int], List[int], List[int], Sequence[int]]
+
+
+class Incidence(NamedTuple):
+    """The deduplicated (color, vertex) incidence in CSR form, sorted by color.
+
+    Color ``colors[i]`` covers the vertices at indices
+    ``members[starts[i]:starts[i + 1]]`` (ascending) and costs
+    ``costs[i]`` digits.  ``appearance`` lists the color slots in the order
+    the colors first appear in the edge column, which is the order the
+    reference graph inserts them.  ``colors`` is int64, or an object array
+    of Python ints when the values may leave int64.
+    """
+
+    colors: "np.ndarray"
+    starts: "np.ndarray"
+    members: "np.ndarray"
+    costs: "np.ndarray"
+    appearance: "np.ndarray"
 
 
 def build_graph_fast(
@@ -74,49 +102,64 @@ def build_graph_fast(
     for v in vertex_list:
         if v <= 0 or v % 2 == 0:
             raise GraphError(f"vertex {v} must be odd and positive")
-    use_numpy = kernel == "numpy" and len(vertex_list) >= 2 and (
+    fits = len(vertex_list) < 2 or (
         (max(vertex_list) << max_shift) + max(vertex_list) < _NUMPY_VALUE_BOUND
     )
+    use_numpy = kernel == "numpy" and len(vertex_list) >= 2 and fits
     columns = _columns_numpy if use_numpy else _columns_python
-    primaries, color_shifts, color_signs, costs = columns(
+    primary, color_shifts, color_signs, weight = columns(
         vertex_list, max_shift, representation
     )
-    color_sets = _group(vertex_list, 2 * (max_shift + 1), primaries, budget)
+    if budget is not None:
+        budget.spend_units(len(vertex_list) * (len(vertex_list) - 1))
+    incidence = _incidence(
+        primary, weight, len(vertex_list), 2 * (max_shift + 1), fits
+    )
+    primaries = primary if isinstance(primary, list) else primary.tolist()
     return ColumnarGraph(
         vertex_list, representation, max_shift, primaries, color_shifts,
-        color_signs, color_sets, costs,
+        color_signs, incidence,
     )
 
 
-def _group(
-    vertex_list: List[int],
+def _incidence(
+    primary: Sequence[int],
+    weight: Sequence[int],
+    vertex_count: int,
     per_pair: int,
-    primaries: List[int],
-    budget: Optional["SolverBudget"],
-) -> Dict[int, Set[int]]:
-    """Color sets from the primary column, charging one node per vertex pair.
+    fits: bool,
+) -> Incidence:
+    """Sort the primary column into the (color, vertex) incidence.
 
-    Colors and their members are inserted in edge order, as the reference
-    graph inserts them.
+    Edge ``k`` ends at the ``k // per_pair``-th off-diagonal ``(src, dst)``
+    pair.  A stable lexsort on (color, dst) puts every (color, vertex)
+    incidence in one run, its edges in column order; the first edge of each
+    run is kept.
     """
-    color_sets: Dict[int, Set[int]] = {}
-    members_of = color_sets.get
-    start = 0
-    for src in vertex_list:
-        for dst in vertex_list:
-            if dst == src:
-                continue
-            if budget is not None:
-                budget.spend()
-            end = start + per_pair
-            for color in primaries[start:end]:
-                members = members_of(color)
-                if members is None:
-                    color_sets[color] = {dst}
-                else:
-                    members.add(dst)
-            start = end
-    return color_sets
+    import numpy as np
+
+    color = np.asarray(primary, dtype=np.int64 if fits else object)
+    dst = np.repeat(
+        np.nonzero(~np.eye(vertex_count, dtype=bool))[1], per_pair
+    )
+    order = np.lexsort((dst, color))
+    color, dst = color[order], dst[order]
+    new_color = np.ones(len(order), dtype=bool)
+    new_color[1:] = color[1:] != color[:-1]
+    fresh = new_color.copy()
+    fresh[1:] |= dst[1:] != dst[:-1]
+    color_heads = np.flatnonzero(new_color)
+    # Each color's first edge: the smallest column position in its run.
+    first_edge = (
+        np.minimum.reduceat(order, color_heads) if len(order) else order
+    )
+    return Incidence(
+        colors=color[color_heads],
+        starts=np.append(np.flatnonzero(new_color[fresh]), fresh.sum()),
+        members=dst[fresh],
+        costs=np.asarray(weight, dtype=np.int64)[first_edge],
+        appearance=np.argsort(first_edge, kind="stable"),
+    )
 
 
 def _columns_python(
@@ -124,7 +167,11 @@ def _columns_python(
     max_shift: int,
     representation: Representation,
 ) -> _Columns:
-    """Pure-python kernel over precomputed shift tables."""
+    """Pure-python kernel over precomputed shift tables.
+
+    The digit cost is computed once per distinct color; the weight column
+    reads it back per edge.
+    """
     cost = fast_cost_fn(representation)
     primaries: List[int] = []
     color_shifts: List[int] = []
@@ -152,7 +199,8 @@ def _columns_python(
                     color_shifts.append(color_shift)
                     if primary not in costs:
                         costs[primary] = cost(primary)
-    return primaries, color_shifts, color_signs, costs
+    weights = list(map(costs.__getitem__, primaries))
+    return primaries, color_shifts, color_signs, weights
 
 
 def _columns_numpy(
@@ -160,7 +208,11 @@ def _columns_numpy(
     max_shift: int,
     representation: Representation,
 ) -> _Columns:
-    """Vectorized kernel: int64 broadcast arithmetic, one list per column.
+    """Vectorized kernel: int64 broadcast arithmetic.
+
+    The primary and weight columns stay arrays for the incidence pass; the
+    color shifts and signs, which only edge construction reads, become
+    lists.
 
     Shapes are ``(M, M, S, 2)`` indexed ``[src][dst][shift][sign]`` with
     sign index 0 for ``src_sign=+1`` and 1 for ``-1``; dropping the
@@ -185,12 +237,9 @@ def _columns_numpy(
         weight = np.bitwise_count(primary ^ (3 * primary))
     else:
         weight = np.bitwise_count(primary)
-    primaries = primary.ravel().tolist()
-    # dict() keeps each color's first position; all of its weights agree.
-    costs = dict(zip(primaries, weight.astype(np.int64).ravel().tolist()))
     return (
-        primaries,
+        primary.ravel(),
         color_shift.ravel().tolist(),
         np.where(xi < 0, -1, 1).ravel().tolist(),
-        costs,
+        weight.ravel(),
     )

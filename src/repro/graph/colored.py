@@ -18,15 +18,18 @@ cheapest set of primary colors.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -38,6 +41,9 @@ from ..obs import span as obs_span
 from .setcover import CoverIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
+    import numpy as np
+
+    from ..fastpath.graphbuild import Incidence
     from ..robust.budget import SolverBudget
 
 __all__ = ["ColorEdge", "ColoredGraph", "ColumnarGraph", "build_colored_graph"]
@@ -118,27 +124,24 @@ class ColoredGraph:
             color_sets.setdefault(edge.color, set()).add(edge.dst)
             self._colors_of_vertex[edge.dst].add(edge.color)
             self._edges_into_by_color[edge.dst].setdefault(edge.color, []).append(edge)
-        color_costs = {
+        self._color_sets = color_sets
+        self._color_costs = {
             color: digit_cost(color, representation) for color in color_sets
         }
-        self._adopt(vertex_set, representation, max_shift, color_sets, color_costs)
+        self._adopt(vertex_set, representation, max_shift)
 
     def _adopt(
         self,
         vertices: FrozenSet[int],
         representation: Representation,
         max_shift: int,
-        color_sets: Dict[int, Set[int]],
-        color_costs: Dict[int, int],
     ) -> None:
         """Set the state every form of the graph shares."""
         self._vertices = vertices
         self._representation = representation
         self._max_shift = max_shift
-        self._color_sets = color_sets
-        self._color_costs = color_costs
         self._cover_inputs: Optional[
-            Tuple[Mapping[int, Set[int]], Mapping[int, float]]
+            Tuple[Mapping[int, AbstractSet[int]], Mapping[int, float]]
         ] = None
         self._cover_indexes: Dict[str, CoverIndex] = {}
 
@@ -187,14 +190,17 @@ class ColoredGraph:
         """All concrete edges whose class representative is ``color``."""
         return tuple(self._edges_by_color[color])
 
-    def cover_inputs(self) -> Tuple[Mapping[int, Set[int]], Mapping[int, float]]:
+    def cover_inputs(
+        self,
+    ) -> Tuple[Mapping[int, AbstractSet[int]], Mapping[int, float]]:
         """The cover solvers' input: color sets and float costs, built once.
 
         Both mappings are read-only views.  The sets in the first are the
         graph's own color sets, not copies (freezing them all costs about as
         much as building a cover index), so callers must not mutate them.
         :meth:`cover_index` and the ``cover_fn`` path of
-        :func:`repro.core.mrp.optimize` share this pair.
+        :func:`repro.core.mrp.optimize` share this pair.  Both iterate the
+        colors in the order they first appear in the edge list.
         """
         if self._cover_inputs is None:
             self._cover_inputs = (
@@ -226,10 +232,12 @@ class ColoredGraph:
                 weights = None
             else:
                 raise GraphError(f"unknown cover strategy {strategy!r}")
-            sets, costs = self.cover_inputs()
-            index = CoverIndex(self._vertices, sets, costs, weights)
-            self._cover_indexes[strategy] = index
+            index = self._cover_indexes[strategy] = self._build_index(weights)
         return index
+
+    def _build_index(self, weights: Optional[Dict[int, float]]) -> CoverIndex:
+        sets, costs = self.cover_inputs()
+        return CoverIndex(self._vertices, sets, costs, weights)
 
     def edges_into(self, vertex: int, allowed_colors: Set[int]) -> List[ColorEdge]:
         """Edges terminating at ``vertex`` whose color lies in ``allowed_colors``."""
@@ -241,7 +249,7 @@ class ColoredGraph:
 
 
 class ColumnarGraph(ColoredGraph):
-    """A :class:`ColoredGraph` kept as flat per-edge columns.
+    """A :class:`ColoredGraph` kept as flat columns.
 
     The fast kernels of :mod:`repro.fastpath.graphbuild` compute each edge's
     primary color, color shift and color sign, in the reference order
@@ -251,11 +259,16 @@ class ColumnarGraph(ColoredGraph):
     edge's position alone gives its ``src``, ``dst``, ``shift`` and
     ``src_sign``; its weight is its color's cost.
 
-    The cover reads only the color sets and costs, which the build groups
-    up front.  The spanning forest reads the edges of a handful of solution
-    colors, so edges are made on demand: :meth:`edges_into` makes the edges
-    of one color into one vertex the first time they are asked for and
-    keeps them, :meth:`edges_of_color` merges those per-vertex lists, and
+    The color sets and costs live in the build's CSR
+    :class:`~repro.fastpath.graphbuild.Incidence`, sorted by color: a color
+    is found by bisection, and its set or cost is made only when asked for.
+    :meth:`cover_inputs` returns read-only views over it, and
+    :meth:`cover_index` builds the greedy's index straight from its columns
+    (:meth:`CoverIndex.from_columns`) whenever the colors fit int64.  The
+    spanning forest reads the edges of a handful of solution colors, so
+    edges are made on demand: :meth:`edges_into` makes the edges of one
+    color into one vertex the first time they are asked for and keeps them,
+    :meth:`edges_of_color` merges those per-vertex lists, and
     :meth:`colors_of_vertex` reads the column.  Every answer equals the
     eager graph's, order included (``tests/test_fastpath_equivalence.py``).
     """
@@ -268,25 +281,107 @@ class ColumnarGraph(ColoredGraph):
         primaries: List[int],
         color_shifts: List[int],
         color_signs: List[int],
-        color_sets: Dict[int, Set[int]],
-        color_costs: Dict[int, int],
+        incidence: "Incidence",
     ):
-        self._adopt(
-            frozenset(vertex_list), representation, max_shift, color_sets,
-            color_costs,
-        )
+        self._adopt(frozenset(vertex_list), representation, max_shift)
         self._vertex_list = vertex_list
         self._position = {v: j for j, v in enumerate(vertex_list)}
         self._per_pair = 2 * (max_shift + 1)
         self._primaries = primaries
         self._color_shifts = color_shifts
         self._color_signs = color_signs
+        self._incidence = incidence
         #: vertex -> (its colors in first-appearance order, as dict keys;
         #: the primary colors of the edges into it, in reference order).
         self._incoming: Dict[int, Tuple[Dict[int, None], List[int]]] = {}
         #: (vertex, color) -> the edges of ``color`` into ``vertex``.
         self._made: Dict[Tuple[int, int], List[ColorEdge]] = {}
         self._by_color: Dict[int, Tuple[ColorEdge, ...]] = {}
+
+    @property
+    def colors(self) -> FrozenSet[int]:
+        """All primary colors present in the graph."""
+        return frozenset(self._incidence.colors.tolist())
+
+    def color_set(self, color: int) -> FrozenSet[int]:
+        """Vertices reachable via any edge of ``color``'s class (its *color set*)."""
+        return self._set_at(self._slot(color))
+
+    def color_cost(self, color: int) -> int:
+        """Digit cost of the primary color (paper's ``cost`` property)."""
+        return int(self._incidence.costs[self._slot(color)])
+
+    def color_frequency(self, color: int) -> int:
+        """Size of the color set (paper's ``frequency`` property)."""
+        starts = self._incidence.starts
+        slot = self._slot(color)
+        return int(starts[slot + 1] - starts[slot])
+
+    def cover_inputs(
+        self,
+    ) -> Tuple[Mapping[int, AbstractSet[int]], Mapping[int, float]]:
+        """Read-only views of the color sets and float costs, built once.
+
+        Each view makes a frozenset or a float only for the color asked
+        for, iterates in first-appearance order and has an O(1) ``len()``.
+        """
+        if self._cover_inputs is None:
+            self._cover_inputs = (
+                _ColumnView(self, self._set_at, self._sets_of),
+                _ColumnView(self, self._cost_at, self._costs_of),
+            )
+        return self._cover_inputs
+
+    def _build_index(self, weights: Optional[Dict[int, float]]) -> CoverIndex:
+        incidence = self._incidence
+        if incidence.colors.dtype == object:  # past int64: the generic path
+            return super()._build_index(weights)
+        sets, costs = self.cover_inputs()
+        return CoverIndex.from_columns(
+            self._vertex_list, sets, costs, weights, incidence.colors,
+            incidence.starts, incidence.members, incidence.costs,
+        )
+
+    def _slot(self, color: int) -> int:
+        """The position of ``color`` in the sorted color column."""
+        colors = self._incidence.colors
+        try:
+            slot = int(colors.searchsorted(color))
+        except (TypeError, OverflowError):  # no int64 compares: not a color
+            raise KeyError(color) from None
+        if slot == len(colors) or colors[slot] != color:
+            raise KeyError(color)
+        return slot
+
+    def _set_at(self, slot: int) -> FrozenSet[int]:
+        incidence = self._incidence
+        members = incidence.members[incidence.starts[slot]:incidence.starts[slot + 1]]
+        return frozenset(map(self._vertex_list.__getitem__, members.tolist()))
+
+    def _cost_at(self, slot: int) -> float:
+        return float(self._incidence.costs[slot])
+
+    def _sets_of(self, slots: "np.ndarray") -> List[FrozenSet[int]]:
+        """The color sets of ``slots``, in one pass over the columns.
+
+        Colors covering one vertex share that vertex's frozenset.
+        """
+        incidence = self._incidence
+        starts = incidence.starts.tolist()
+        members = list(map(self._vertex_list.__getitem__, incidence.members.tolist()))
+        alone = {v: frozenset((v,)) for v in self._vertex_list}
+        sets: List[FrozenSet[int]] = []
+        for slot in slots.tolist():
+            start, end = starts[slot], starts[slot + 1]
+            if end - start == 1:
+                sets.append(alone[members[start]])
+            else:
+                sets.append(frozenset(members[start:end]))
+        return sets
+
+    def _costs_of(self, slots: "np.ndarray") -> List[float]:
+        """The float costs of ``slots``."""
+        return self._incidence.costs[slots].astype(float).tolist()
 
     @property
     def num_edges(self) -> int:
@@ -302,7 +397,7 @@ class ColumnarGraph(ColoredGraph):
         edges = self._by_color.get(color)
         if edges is None:
             found: List[ColorEdge] = []
-            for vertex in self._color_sets[color]:
+            for vertex in self.color_set(color):
                 found.extend(self._edges_into_color(vertex, color))
             found.sort(key=_reference_order)
             edges = self._by_color[color] = tuple(found)
@@ -342,7 +437,7 @@ class ColumnarGraph(ColoredGraph):
         if edges is None:
             sequence = self._incoming_of(vertex)[1]
             j = self._position[vertex]
-            weight = self._color_costs[color]
+            weight = self.color_cost(color)
             edges = []
             at = -1
             for _ in range(sequence.count(color)):
@@ -362,6 +457,45 @@ class ColumnarGraph(ColoredGraph):
                 ))
             self._made[key] = edges
         return edges
+
+
+class _ColumnView(Mapping):
+    """Read-only color -> value view over a :class:`ColumnarGraph`'s incidence.
+
+    A lookup bisects the sorted color column and makes the value of that
+    one slot with ``value_at``; iteration follows first appearance, and
+    ``items()``/``values()`` make every value in one pass with ``values_of``.
+    """
+
+    def __init__(
+        self,
+        graph: ColumnarGraph,
+        value_at: Callable[[int], object],
+        values_of: Callable[["np.ndarray"], List],
+    ):
+        self._graph = graph
+        self._value_at = value_at
+        self._values_of = values_of
+
+    def __getitem__(self, color: int):
+        return self._value_at(self._graph._slot(color))
+
+    def __iter__(self) -> Iterator[int]:
+        incidence = self._graph._incidence
+        return iter(incidence.colors[incidence.appearance].tolist())
+
+    def __len__(self) -> int:
+        return len(self._graph._incidence.colors)
+
+    def items(self) -> ItemsView:
+        return self._copy().items()
+
+    def values(self) -> ValuesView:
+        return self._copy().values()
+
+    def _copy(self) -> Dict[int, object]:
+        values = self._values_of(self._graph._incidence.appearance)
+        return dict(zip(self, values))
 
 
 def _reference_order(edge: ColorEdge) -> Tuple[int, int, int, int]:

@@ -88,16 +88,21 @@ def exact_weighted_set_cover(
         raise GraphError(
             f"exact cover limited to {max_universe} elements, got {len(universe)}"
         )
-    reachable: Set = set()
-    for members in sets.values():
-        reachable |= members
+    # The search reads only plain dicts: the sets cut to the universe (the
+    # same differences and intersections with subsets of it) and the costs.
+    frozen = frozenset(universe)
+    sets = {
+        key: members if members <= frozen else members & frozen
+        for key, members in sets.items()
+    }
+    costs = dict(costs.items())
+    reachable: Set = set().union(*sets.values())
     if universe - reachable:
         raise GraphError(
             f"elements {sorted(universe - reachable)!r} appear in no set"
         )
 
-    frozen = frozenset(universe)
-    survivors = prune_dominated_sets({k: sets[k] & frozen for k in sets}, costs)
+    survivors = prune_dominated_sets(sets, costs)
     candidates_of: Dict = {}
     for element in universe:
         candidates_of[element] = sorted(

@@ -29,6 +29,10 @@ initial buckets, the tie order, the element → colors reverse index — and
 strategy, so a β sweep pays for it once.  Most SIDC colors cover a single
 vertex; such a color never changes state before it dies, so the index
 tallies them per element and bucket and a pick retires them in bulk.
+The constructor walks any ``sets``/``costs`` mappings one color at a time;
+:meth:`CoverIndex.from_columns` fills the same fields from a graph's int64
+CSR incidence with array sorts and counts, making no Python object per
+color beyond one entry in each tie-indexed list.
 
 The result equals that of the plain greedy that rescans every set on every
 pick, kept as the oracle of ``tests/test_cover_equivalence.py``: the same
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Dict,
     FrozenSet,
     Hashable,
@@ -53,6 +58,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -61,6 +67,8 @@ from ..errors import BudgetExceeded, GraphError
 from ..obs import span as obs_span
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
+    import numpy as np
+
     from ..robust.budget import SolverBudget
 
 __all__ = [
@@ -153,8 +161,8 @@ class CoverIndex:
         #: Initial state of every live multi-element color, by tie rank.
         self.count: Dict[int, int] = {}
         self.weight: Dict[int, float] = {}
-        #: Single-element colors: tie rank -> their one live element.
-        self.sole: Dict[int, Hashable] = {}
+        #: tie rank -> a single-element color's one live element, else _MULTI.
+        self.sole: List = [_MULTI] * len(order)
         #: element -> multi-element colors (tie ranks) holding it.
         self.multi_of: Dict[Hashable, List[int]] = {}
         #: state -> tie ranks of the colors starting in it, ascending.
@@ -195,6 +203,116 @@ class CoverIndex:
         self.sizes: Dict[_State, int] = {
             state: len(ranks) for state, ranks in self.buckets.items()
         }
+
+    @classmethod
+    def from_columns(
+        cls,
+        elements: Sequence,
+        sets: Mapping[Hashable, AbstractSet],
+        costs: Mapping[Hashable, float],
+        element_weights: Optional[Mapping],
+        colors: "np.ndarray",
+        starts: "np.ndarray",
+        members: "np.ndarray",
+        color_costs: "np.ndarray",
+    ) -> "CoverIndex":
+        """The index of a set system given as int64 CSR columns.
+
+        Color ``colors[i]`` holds ``elements[j]`` for each index ``j`` in
+        ``members[starts[i]:starts[i + 1]]`` (at least one, each at most
+        once) and costs ``color_costs[i]``.  The colors must be distinct
+        non-negative ints in ascending order, which is their tie order, and
+        the universe is ``elements``.  ``sets`` and ``costs`` are mappings
+        over the same system, kept for the greedy as the constructor keeps
+        them.  Fills every field the constructor fills, equal to it, with
+        array operations and one list per field instead of a loop over the
+        colors; the per-color weight sums are exact for integer weights.
+        """
+        import numpy as np
+
+        self = cls.__new__(cls)
+        self.universe = frozenset(elements)
+        self.sets, self.costs = sets, costs
+        self.element_weights = element_weights
+        n = len(colors)
+        count = np.diff(starts)
+        cost = color_costs.astype(float)
+        tie_of = np.repeat(np.arange(n), count)  # per member
+        if element_weights:
+            per_element = np.array(
+                [element_weights.get(e, 1.0) for e in elements], dtype=float
+            )
+            weight = np.bincount(tie_of, per_element[members], minlength=n)
+        else:
+            weight = count.astype(float)
+        covered = np.zeros(len(elements), dtype=bool)
+        covered[members] = True
+        self.missing = frozenset(
+            elements[j] for j in np.flatnonzero(~covered).tolist()
+        )
+        self.colors = colors.tolist()
+        self.cost_of = cost.tolist()
+
+        # Bucket the tie ranks by state; a stable sort keeps each ascending.
+        by_state = np.lexsort((cost, count, weight))
+        weight_s, count_s, cost_s = weight[by_state], count[by_state], cost[by_state]
+        fresh = np.ones(n, dtype=bool)
+        fresh[1:] = (
+            (weight_s[1:] != weight_s[:-1])
+            | (count_s[1:] != count_s[:-1])
+            | (cost_s[1:] != cost_s[:-1])
+        )
+        heads = np.flatnonzero(fresh)
+        states: List[_State] = list(zip(
+            weight_s[heads].tolist(), count_s[heads].tolist(),
+            cost_s[heads].tolist(),
+        ))
+        state_of = np.empty(n, dtype=np.int64)
+        state_of[by_state] = np.cumsum(fresh) - 1
+        ranks, bounds = by_state.tolist(), np.append(heads, n).tolist()
+        # Buckets in the order of their smallest tie rank, as the
+        # constructor creates them.
+        self.buckets = {
+            states[g]: ranks[bounds[g]:bounds[g + 1]]
+            for g in np.argsort(by_state[heads], kind="stable").tolist()
+        }
+        self.sizes = {state: len(ties) for state, ties in self.buckets.items()}
+
+        single = count == 1
+        sole = np.full(n, _MULTI, dtype=object)
+        element_of = np.asarray(elements, dtype=object)
+        sole[single] = element_of[members[starts[:-1][single]]]
+        self.sole = sole.tolist()
+        multi = np.flatnonzero(~single)
+        multi_ranks = multi.tolist()
+        self.count = dict(zip(multi_ranks, count[multi].tolist()))
+        self.weight = dict(zip(multi_ranks, weight[multi].tolist()))
+
+        # element -> multi-element tie ranks, ascending (tie_of ascends).
+        in_multi = ~single[tie_of]
+        self.multi_of = {}
+        for j, tie in zip(members[in_multi].tolist(), tie_of[in_multi].tolist()):
+            self.multi_of.setdefault(elements[j], []).append(tie)
+
+        # element -> (state, number of its single-element colors in it),
+        # states in the order of their smallest tie rank: np.unique gives
+        # each (element, state) group's size and first, smallest, tie.
+        single_ties = np.flatnonzero(single)
+        groups, first, sizes = np.unique(
+            members[starts[:-1][single_ties]] * len(states)
+            + state_of[single_ties],
+            return_index=True, return_counts=True,
+        )
+        element_g, state_g = np.divmod(groups, len(states))
+        singles: Dict[Hashable, List[Tuple[_State, int]]] = {}
+        for g in np.lexsort((first, element_g)).tolist():
+            singles.setdefault(elements[element_g[g]], []).append(
+                (states[state_g[g]], int(sizes[g]))
+            )
+        self.singles_of = {
+            element: tuple(tally) for element, tally in singles.items()
+        }
+        return self
 
     def matches(self, universe: Set, sets: Mapping, costs: Mapping,
                 element_weights: Optional[Mapping]) -> bool:
@@ -293,7 +411,7 @@ def _greedy_cover(
             heap = heaps[state] = list(buckets[state])
         while True:
             tie = heap[0]
-            element = sole.get(tie, _MULTI)
+            element = sole[tie]
             if element is _MULTI:
                 if count[tie] == state[1]:
                     return tie

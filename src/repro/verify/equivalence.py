@@ -30,6 +30,7 @@ import random
 import shutil
 import subprocess
 import tempfile
+from bisect import bisect_right
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -172,8 +173,15 @@ def differential_equivalence(
 ) -> int:
     """Corner + seeded-random differential test vs golden convolution.
 
-    Returns the total number of cycles compared.  ``extra_vectors`` lets a
-    caller append regression stimuli (e.g. a previously escaping input).
+    Returns the total number of cycles compared: the sum of the vector
+    lengths.  ``extra_vectors`` lets a caller append regression stimuli
+    (e.g. a previously escaping input).
+
+    The vectors run as one stream, each followed by ``len(tap_names)``
+    zeros that flush the tap chain, so every vector starts from rest as
+    it would alone: one simulation and one convolution in all.  A mismatch
+    names the vector it falls in, or follows when it falls in a flush,
+    and its cycle counted from that vector's first sample.
     """
     _check_declared(netlist, tap_names, coefficients)
     vectors: Dict[str, List[int]] = dict(
@@ -189,18 +197,22 @@ def differential_equivalence(
     if extra_vectors:
         for name, stimulus in extra_vectors.items():
             vectors[name] = [int(x) for x in stimulus]
-    cycles = 0
-    for name, stimulus in vectors.items():
-        got = simulate_tdf_filter(netlist, tap_names, stimulus)
-        want = golden_convolution(coefficients, stimulus)
-        for cycle, (g, w) in enumerate(zip(got, want)):
-            if g != w:
-                raise EquivalenceViolation(
-                    f"vector {name!r} cycle {cycle}: netlist produced {g}, "
-                    f"golden convolution {w}"
-                )
-        cycles += len(stimulus)
-    return cycles
+    stream: List[int] = []
+    starts: List[int] = []  # each vector's first cycle in the stream
+    for stimulus in vectors.values():
+        starts.append(len(stream))
+        stream.extend(stimulus)
+        stream.extend([0] * len(tap_names))
+    got = simulate_tdf_filter(netlist, tap_names, stream)
+    want = golden_convolution(coefficients, stream)
+    for at, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            owner = bisect_right(starts, at) - 1
+            raise EquivalenceViolation(
+                f"vector {list(vectors)[owner]!r} cycle {at - starts[owner]}: "
+                f"netlist produced {g}, golden convolution {w}"
+            )
+    return sum(len(stimulus) for stimulus in vectors.values())
 
 
 def _find_compiler() -> Optional[str]:

@@ -29,6 +29,31 @@ PAPER_EXAMPLE = (7, 66, 17, 9, 27, 41, 56, 11)
 
 VERIFY_SAMPLES = (1, -1, 2, 255, -256, 1023, -777, 12345, -54321, 0, 0, 99)
 
+#: Every field a :class:`repro.graph.CoverIndex` fills for the greedy.
+COVER_INDEX_FIELDS = (
+    "universe", "colors", "cost_of", "count", "weight", "sole", "multi_of",
+    "buckets", "singles_of", "sizes", "missing",
+)
+
+
+def assert_index_matches_mapping_build(graph, strategy, plain=None):
+    """``graph.cover_index(strategy)`` equals the mapping constructor's index.
+
+    The oracle is built over plain dict copies of the graph's cover inputs
+    (``plain``, when the caller has made them) with the same element
+    weights, so it shares nothing with the graph.
+    """
+    from repro.graph import CoverIndex
+
+    index = graph.cover_index(strategy)
+    if plain is None:
+        sets, costs = graph.cover_inputs()
+        plain = (dict(sets.items()), dict(costs.items()))
+    oracle = CoverIndex(set(graph.vertices), *plain, index.element_weights)
+    for field in COVER_INDEX_FIELDS:
+        assert getattr(index, field) == getattr(oracle, field), field
+    return index
+
 
 @pytest.fixture(scope="session")
 def paper_coefficients():

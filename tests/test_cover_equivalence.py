@@ -5,7 +5,9 @@ candidate set and keeps the best ``(f, frequency, -cost)`` rank, breaking
 exact ties on :func:`_tie_order`.  The library's bucketed greedy must return
 an equal :class:`CoverSolution` on every instance, raise on the same inputs,
 and under every node cap stop at the same pick with an equal partial cover
-and the same ``nodes_used``.
+and the same ``nodes_used``.  On the benchmark suite, the index a graph
+builds from its columns must also equal, field by field, the one the
+mapping constructor builds from the same sets.
 """
 
 from typing import Dict, Hashable, List, Set, Tuple
@@ -18,6 +20,7 @@ from repro.core import MrpOptions, lower_plan, mrp, optimize
 from repro.core.sidc import normalize_taps
 from repro.errors import BudgetExceeded, GraphError
 from repro.eval import BETA_SWEEP, best_mrpf, experiments
+from repro.fastpath.graphbuild import _NUMPY_VALUE_BOUND, build_graph_fast
 from repro.filters import benchmark_suite
 from repro.graph import (
     CoverIndex,
@@ -28,8 +31,12 @@ from repro.graph import (
     greedy_weighted_set_cover,
 )
 from repro.graph import colored
+from repro.graph.colored import _build_edges
+from repro.numrep import Representation
 from repro.quantize import ScalingScheme, quantize
 from repro.robust import SolverBudget
+
+from .conftest import assert_index_matches_mapping_build
 
 BETAS = (0.0, 0.3, 0.5, 0.7, 1.0)
 
@@ -124,10 +131,14 @@ def _outcome(solver, *args, cap=None, **kwargs):
 
 
 def _assert_same(universe, sets, costs, beta, weights, strategy, caps=(None,),
-                 index=None):
+                 index=None, plain=None):
+    """``plain``: equal dicts the reference runs on instead of ``sets`` and
+    ``costs`` (a graph's views make each value on lookup, and the rescan
+    loop looks up every cost on every pick)."""
+    reference_sets, reference_costs = plain or (sets, costs)
     for cap in caps:
-        expected = _outcome(_reference_cover, universe, sets, costs, beta,
-                            weights, strategy, cap=cap)
+        expected = _outcome(_reference_cover, universe, reference_sets,
+                            reference_costs, beta, weights, strategy, cap=cap)
         actual = _outcome(greedy_weighted_set_cover, universe, sets, costs,
                           beta, weights, strategy, cap=cap, index=index)
         assert actual == expected, f"cap={cap}"
@@ -246,27 +257,37 @@ def test_suite_graph_covers_match_reference(point):
         pytest.skip("a single primary coefficient needs no cover")
     graph = build_colored_graph(vertices, wordlength)
     universe = set(vertices)
+    sets, costs = graph.cover_inputs()
+    plain = (dict(sets.items()), dict(costs.items()))
     for strategy, betas in (("benefit", BETA_SWEEP), ("savings", (0.5,))):
-        index = graph.cover_index(strategy)
+        index = assert_index_matches_mapping_build(graph, strategy, plain)
         for beta in betas:
             _assert_same(universe, index.sets, index.costs, beta,
-                         index.element_weights, strategy, index=index)
+                         index.element_weights, strategy, index=index,
+                         plain=plain)
     # Caps on either side of the first pick's charge: one stops before any
     # pick, the other lets exactly one pick through.
     index = graph.cover_index("benefit")
     charge = max(1, len(index.sets))
     caps = (charge - 1, charge)
     _assert_same(universe, index.sets, index.costs, 0.5, None, "benefit",
-                 caps, index=index)
+                 caps, index=index, plain=plain)
 
 
 def test_cover_index_built_once_per_graph_and_strategy(monkeypatch):
     built = []
 
     class CountingIndex(CoverIndex):
+        """Records the element weights of every build, by either constructor."""
+
         def __init__(self, *args, **kwargs):
             built.append(args[3])
             super().__init__(*args, **kwargs)
+
+        @classmethod
+        def from_columns(cls, *args, **kwargs):
+            built.append(args[3])
+            return super().from_columns(*args, **kwargs)
 
     monkeypatch.setattr(colored, "CoverIndex", CountingIndex)
     taps = [5, 22, 45, 89, 45, 22, 5]
@@ -276,6 +297,45 @@ def test_cover_index_built_once_per_graph_and_strategy(monkeypatch):
     assert graph.cover_index("savings") is graph.cover_index("savings")
     assert graph.cover_index("benefit") is graph.cover_index("benefit")
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_graph_past_int64_uses_the_mapping_constructor(kernel, monkeypatch):
+    built = []
+
+    class CountingIndex(CoverIndex):
+        def __init__(self, *args, **kwargs):
+            built.append("mapping")
+            super().__init__(*args, **kwargs)
+
+        @classmethod
+        def from_columns(cls, *args, **kwargs):  # pragma: no cover - fails
+            built.append("columns")
+            return super().from_columns(*args, **kwargs)
+
+    monkeypatch.setattr(colored, "CoverIndex", CountingIndex)
+    # (max << max_shift) + max passes _NUMPY_VALUE_BOUND: colors leave int64.
+    vertices = [3, 5, 11, (1 << 58) + 1, (1 << 59) + 7]
+    max_shift = 6
+    assert (max(vertices) << max_shift) >= _NUMPY_VALUE_BOUND
+    graph = build_graph_fast(vertices, max_shift, Representation.CSD, None,
+                             kernel)
+    reference = _build_edges(vertices, max_shift, Representation.CSD, None)
+    universe = set(vertices)
+    for strategy, betas in (("benefit", BETAS), ("savings", (0.5,))):
+        index = assert_index_matches_mapping_build(graph, strategy)
+        expected = reference.cover_index(strategy)
+        for beta in betas:
+            _assert_same(universe, index.sets, index.costs, beta,
+                         index.element_weights, strategy, index=index)
+            assert greedy_weighted_set_cover(
+                universe, index.sets, index.costs, beta,
+                index.element_weights, strategy, index=index,
+            ) == greedy_weighted_set_cover(
+                universe, expected.sets, expected.costs, beta,
+                expected.element_weights, strategy, index=expected,
+            )
+    assert built == ["mapping"] * 4  # two strategies, graph and reference
 
 
 def test_cover_index_mappings_are_read_only():

@@ -22,7 +22,12 @@ from repro.fastpath.digitcost import csd_cost_fast, fast_cost_fn, sm_cost_fast
 from repro.fastpath.graphbuild import build_graph_fast
 from repro.fastpath import msdtables
 from repro.graph import build_spanning_forest, greedy_weighted_set_cover
-from repro.graph.colored import ColorEdge, _build_edges, build_colored_graph
+from repro.graph.colored import (
+    ColorEdge,
+    ColumnarGraph,
+    _build_edges,
+    build_colored_graph,
+)
 from repro.numrep import (
     Representation,
     csd_nonzero_count,
@@ -33,6 +38,8 @@ from repro.numrep import (
 )
 from repro.numrep import msd as msd_module
 from repro.robust.budget import SolverBudget
+
+from .conftest import assert_index_matches_mapping_build
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -288,6 +295,70 @@ class TestLazyEdges:
         assert fast.edges_into(45, {color}) == edges
         assert len(made) == len(edges)
 
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    def test_cover_makes_no_color_set_and_no_edge(self, kernel, monkeypatch):
+        made = []
+        check = ColorEdge.__post_init__
+
+        def counting(edge):
+            made.append(edge)
+            check(edge)
+
+        asked = []
+        set_at = ColumnarGraph._set_at
+
+        def counting_set_at(graph, slot):
+            members = set_at(graph, slot)
+            asked.append(int(graph._incidence.colors[slot]))
+            return members
+
+        monkeypatch.setattr(ColorEdge, "__post_init__", counting)
+        monkeypatch.setattr(ColumnarGraph, "_set_at", counting_set_at)
+        vertex_list = [3, 7, 11, 23, 45, 91, 105]
+        fast = build_graph_fast(vertex_list, 8, Representation.CSD, None, kernel)
+        strategies = (("benefit", BETAS), ("savings", (0.5,)))
+        for strategy, _ in strategies:
+            fast.cover_index(strategy)
+        sets, costs = fast.cover_inputs()
+        assert len(sets) == len(costs) > 100
+        assert asked == [] and made == []
+        picked = set()
+        for strategy, betas in strategies:
+            index = fast.cover_index(strategy)
+            for beta in betas:
+                solution = greedy_weighted_set_cover(
+                    set(vertex_list), index.sets, index.costs, beta,
+                    index.element_weights, strategy, index=index,
+                )
+                picked.update(solution.colors)
+        # Only the picked colors' sets are made.
+        assert set(asked) == picked and made == []
+
+
+class TestCoverIndexEquivalence:
+    """The index built from the graph's columns equals the mapping build."""
+
+    @given(VERTEX_SETS, SHIFTS, REPRESENTATIONS)
+    @settings(max_examples=40, deadline=None)
+    def test_fast_graph_index_matches_mapping_constructor(
+        self, vertices, max_shift, rep
+    ):
+        vertex_list = sorted(vertices)
+        reference = _build_edges(vertex_list, max_shift, rep, None)
+        ref_sets, ref_costs = reference.cover_inputs()
+        for kernel in FAST_KERNELS:
+            fast = build_graph_fast(vertex_list, max_shift, rep, None, kernel)
+            sets, costs = fast.cover_inputs()
+            # Views: the reference graph's keys in its order, per-key
+            # lookups equal to the bulk walk, O(1) length.
+            assert list(sets) == list(ref_sets) == list(costs)
+            assert dict(sets.items()) == {c: sets[c] for c in sets} == ref_sets
+            assert dict(costs.items()) == {c: costs[c] for c in costs} == ref_costs
+            assert list(costs.values()) == list(ref_costs.values())
+            assert len(sets) == len(ref_sets)
+            for strategy in ("benefit", "savings"):
+                assert_index_matches_mapping_build(fast, strategy)
+
 
 class TestGraphBudgetEquivalence:
     VERTICES = [3, 5, 7, 9, 11]
@@ -309,6 +380,22 @@ class TestGraphBudgetEquivalence:
                 )
             )
             assert fast == reference
+
+    @pytest.mark.parametrize("cap", [1, 7, 19])
+    def test_partial_build_raises_like_reference(self, cap):
+        """A cap inside the build stops every kernel at the same place."""
+
+        def failure(kernel):
+            budget = SolverBudget(max_nodes=cap).start()
+            fastpath.set_mode(kernel)
+            with pytest.raises(BudgetExceeded) as caught:
+                build_colored_graph(self.VERTICES, 4, Representation.CSD, budget)
+            return budget.nodes_used, str(caught.value)
+
+        reference = failure("off")
+        assert reference[0] == cap + 1
+        for kernel in FAST_KERNELS:
+            assert failure(kernel) == reference
 
     def test_sufficient_budget_builds_identical_graph(self):
         def build(kernel):

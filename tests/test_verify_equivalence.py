@@ -1,16 +1,18 @@
 """Equivalence proving: exhaustive sweeps, corner vectors, differential diff."""
 
+import random
 import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import ShiftAddNetlist
+from repro.arch import ShiftAddNetlist, simulate_tdf_filter
 from repro.baselines import synthesize_simple
 from repro.core import synthesize_mrpf
 from repro.errors import EquivalenceViolation, VerificationError
 from repro.robust.chaos import NetlistMutator
+from repro.verify import equivalence
 from repro.verify import (
     EXHAUSTIVE_MAX_BITS,
     cmodel_equivalence,
@@ -132,6 +134,58 @@ class TestDifferential:
             extra_vectors={"regression": [5, 4, 3, 2, 1]},
         )
         assert extended == base + 5
+
+    @staticmethod
+    def _silence_corners(monkeypatch):
+        """Let a wrong netlist reach the run and pass every corner vector.
+
+        The declared-constant check is skipped, and the corner vectors keep
+        their shapes but hold only zeros, which no netlist gets wrong.
+        """
+        monkeypatch.setattr(equivalence, "_check_declared", lambda *args: None)
+        monkeypatch.setattr(equivalence, "corner_vectors", lambda *args: {
+            name: [0] * len(stimulus)
+            for name, stimulus in corner_vectors(*args).items()
+        })
+
+    def test_mismatch_names_its_vector_and_cycle(self, monkeypatch):
+        self._silence_corners(monkeypatch)
+        netlist, names = build_filter([3, -5, 7, 2])
+        claimed = [3, -5, 9, 2]
+        rng = random.Random(4)
+        random_0 = [rng.randint(-(1 << 11), (1 << 11) - 1) for _ in range(16)]
+        got = simulate_tdf_filter(netlist, names, random_0)
+        want = golden_convolution(claimed, random_0)
+        cycle = next(n for n, (g, w) in enumerate(zip(got, want)) if g != w)
+        with pytest.raises(
+            EquivalenceViolation,
+            match=rf"vector 'random_0' cycle {cycle}: netlist produced "
+                  rf"{got[cycle]}, golden convolution {want[cycle]}$",
+        ):
+            differential_equivalence(
+                netlist, names, claimed, input_bits=12, random_blocks=2,
+                block_len=16, seed=4,
+            )
+
+    def test_mismatch_in_a_flush_names_the_vector_before(self, monkeypatch):
+        self._silence_corners(monkeypatch)
+        netlist, names = build_filter([1, 2, 4])
+        # The impulse at the end of "tail" meets the wrong last tap two
+        # cycles later, inside the flush that follows it.
+        with pytest.raises(EquivalenceViolation, match="vector 'tail' cycle 2:"):
+            differential_equivalence(
+                netlist, names, [1, 2, 3], random_blocks=0,
+                extra_vectors={"tail": [1]},
+            )
+
+    def test_cycle_count_is_the_vector_lengths(self, paper_coefficients):
+        arch = synthesize_mrpf(paper_coefficients, 7)
+        taps = len(arch.tap_names)
+        cycles = differential_equivalence(
+            arch.netlist, arch.tap_names, paper_coefficients,
+            random_blocks=3, block_len=10, extra_vectors={"x": [1, 2]},
+        )
+        assert cycles == 5 * (taps + 4) + 3 * 10 + 2
 
     def test_catches_output_mutants(self, paper_coefficients):
         """Every output_* mutant is structurally valid; only the functional
