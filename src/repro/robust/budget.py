@@ -89,6 +89,22 @@ class SolverBudget:
         return max(0, self.max_nodes - self._nodes)
 
     @property
+    def quiet_units(self) -> int:
+        """Units that :meth:`spend` can take one by one before one acts.
+
+        A unit acts when it fires a heartbeat or passes the node cap.  With
+        a deadline or a forced reason every unit may act, so this is 0.  A
+        solver may count up to this many units itself and charge them in
+        one :meth:`spend_units` call, which then has no observable effect.
+        """
+        if self._forced_reason is not None or self.deadline_s is not None:
+            return 0
+        quiet = self._next_heartbeat - self._nodes - 1
+        if self.max_nodes is not None:
+            quiet = min(quiet, self.max_nodes - self._nodes)
+        return max(0, quiet)
+
+    @property
     def exhausted(self) -> bool:
         """True when any limit has been reached (never raises)."""
         if self._forced_reason is not None:

@@ -1,5 +1,6 @@
 """Unit + property tests for the exact branch-and-bound set cover."""
 
+import contextlib
 import itertools
 
 import pytest
@@ -13,7 +14,7 @@ from repro.graph import build_colored_graph, greedy_weighted_set_cover
 from repro.graph.exact_cover import exact_weighted_set_cover, prune_dominated_sets
 from repro.graph.setcover import CoverSolution, CoverStep
 from repro.quantize import ScalingScheme, quantize
-from repro.robust.budget import SolverBudget
+from repro.robust.budget import HEARTBEAT_NODES, SolverBudget
 
 
 def brute_force_optimum(universe, sets, costs):
@@ -35,6 +36,17 @@ def brute_force_optimum(universe, sets, costs):
     return best
 
 
+def pairwise_prune(sets, costs):
+    """Oracle for dominance pruning: test each set against every kept one."""
+    keys = sorted(sets, key=lambda k: (costs[k], -len(sets[k]), repr(k)))
+    survivors = []
+    for key in keys:
+        if not any(sets[key] <= sets[kept] and costs[kept] <= costs[key]
+                   for kept in survivors):
+            survivors.append(key)
+    return survivors
+
+
 class TestDominancePruning:
     def test_subset_at_higher_cost_pruned(self):
         sets = {"big": frozenset({1, 2, 3}), "small": frozenset({1, 2})}
@@ -51,6 +63,35 @@ class TestDominancePruning:
         sets = {"a": frozenset({1}), "b": frozenset({1})}
         costs = {"a": 1.0, "b": 1.0}
         assert len(prune_dominated_sets(sets, costs)) == 1
+
+    def test_equal_sets_keep_the_key_whose_repr_sorts_first(self):
+        # "11" < "3" as strings: the key with the smaller repr survives,
+        # not the smaller key.
+        sets = {3: frozenset({1, 2}), 11: frozenset({1, 2}), 5: frozenset({1})}
+        costs = {3: 1.0, 11: 1.0, 5: 1.0}
+        assert prune_dominated_sets(sets, costs) == [11]
+
+    def test_pinned_survivor_order(self):
+        sets = {
+            3: frozenset({1, 2}), 11: frozenset({1, 2}), 7: frozenset({3}),
+            -2: frozenset({3, 4}), 20: frozenset({1, 2, 3, 4}),
+            100: frozenset({4}), 9: frozenset({2}),
+        }
+        costs = {3: 1.0, 11: 1.0, 7: 1.0, -2: 2.0, 20: 4.0, 100: 0.5,
+                 9: 0.5}
+        assert prune_dominated_sets(sets, costs) == [100, 9, 11, 7, -2, 20]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_scan(self, data):
+        """Same survivors, in the same order, as a scan of every kept set."""
+        sets = {}
+        for key in data.draw(st.lists(st.integers(-20, 20), min_size=1,
+                                      max_size=12, unique=True)):
+            sets[key] = frozenset(data.draw(st.sets(st.integers(0, 5),
+                                                    max_size=4)))
+        costs = {k: float(data.draw(st.integers(0, 3))) for k in sets}
+        assert prune_dominated_sets(sets, costs) == pairwise_prune(sets, costs)
 
 
 class TestExactCover:
@@ -201,33 +242,85 @@ def per_node_exact_cover(universe, sets, costs, max_universe=18,
         incumbent = (
             solution_from(best_pick[0]) if best_pick[0] is not None else None
         )
-        raise CoverBudgetError(str(exc), partial=incumbent) from exc
+        suffix = (
+            " (incumbent cover attached)" if incumbent is not None
+            else " (no incumbent found)"
+        )
+        raise CoverBudgetError(str(exc) + suffix, partial=incumbent) from exc
     return solution_from(best_pick[0])
 
 
-def run_capped(solver, universe, sets, costs, max_nodes, budget_nodes):
-    """``(outcome, incumbent, nodes spent)`` of one solve under both caps.
+class RecordingBudget(SolverBudget):
+    """A budget that records its node count at every heartbeat."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.beats = []
+
+    def _heartbeat(self):
+        super()._heartbeat()
+        self.beats.append(self.nodes_used)
+
+
+def ticking_clock(step=1.0):
+    """A clock that moves ``step`` seconds at every reading."""
+    ticks = itertools.count()
+    return lambda: next(ticks) * step
+
+
+def run_budgeted(solver, universe, sets, costs, max_nodes, budget):
+    """``(outcome, cover, nodes, message, heartbeats)`` of one solve."""
+    try:
+        cover = solver(universe, sets, costs, max_nodes=max_nodes, budget=budget)
+    except CoverBudgetError as exc:
+        return ("exhausted", exc.partial, budget.nodes_used, str(exc),
+                budget.beats)
+    return "solved", cover, budget.nodes_used, None, budget.beats
+
+
+def run_capped(solver, universe, sets, costs, max_nodes, budget_nodes,
+               precharge=0):
+    """One solve under both caps, after ``precharge`` units of earlier work.
 
     The budget always counts the nodes; ``budget_nodes`` caps it (``None``:
     no cap), ``max_nodes`` is the solver's own cap.
     """
-    budget = SolverBudget(max_nodes=budget_nodes).start()
-    try:
-        cover = solver(universe, sets, costs, max_nodes=max_nodes, budget=budget)
-    except CoverBudgetError as exc:
-        return "exhausted", exc.partial, budget.nodes_used
-    return "solved", cover, budget.nodes_used
+    budget = RecordingBudget(max_nodes=budget_nodes).start()
+    with contextlib.suppress(BudgetExceeded):
+        budget.spend_units(precharge)
+    return run_budgeted(solver, universe, sets, costs, max_nodes, budget)
 
 
-def assert_same_solve(universe, sets, costs, max_nodes, budget_nodes):
-    expected = run_capped(
-        per_node_exact_cover, universe, sets, costs, max_nodes, budget_nodes
-    )
-    actual = run_capped(
-        exact_weighted_set_cover, universe, sets, costs, max_nodes, budget_nodes
-    )
+def assert_same_solve(universe, sets, costs, max_nodes, budget_nodes,
+                      precharge=0):
+    """Same outcome, cover, nodes, message and heartbeats as the oracle.
+
+    Returns ``(outcome, cover, nodes spent)``.
+    """
+    expected = run_capped(per_node_exact_cover, universe, sets, costs,
+                          max_nodes, budget_nodes, precharge)
+    actual = run_capped(exact_weighted_set_cover, universe, sets, costs,
+                        max_nodes, budget_nodes, precharge)
     assert actual == expected
-    return expected
+    return expected[:3]
+
+
+def sidc_instance():
+    """Suite filter 1 at W=14, maximal scaling: 13 vertices, 4,495 colors."""
+    taps = quantize(
+        benchmark_filter(1).folded, 14, ScalingScheme.MAXIMAL
+    ).integers
+    vertices, _ = normalize_taps(taps)
+    sets, costs = build_colored_graph(vertices, 14).cover_inputs()
+    return set(vertices), sets, costs
+
+
+#: Elements and keys of other types than int: each is ordered by its repr.
+OTHER_HASHABLES = st.one_of(
+    st.text(alphabet="ab1", min_size=1, max_size=3),
+    st.tuples(st.integers(-2, 2), st.text(alphabet="xy", max_size=2)),
+    st.integers(-30, -1),
+)
 
 
 CAPS = (1, 2, 3, 5, 8, 13, 40, 200, 2_000_000)
@@ -253,20 +346,110 @@ class TestExactCoverOracle:
     def test_sidc_instance_under_every_cap(self):
         # Suite filter 1 at W=14, maximal scaling: 13 vertices, 4,495 colors,
         # a search of a few thousand nodes.
-        taps = quantize(
-            benchmark_filter(1).folded, 14, ScalingScheme.MAXIMAL
-        ).integers
-        vertices, _ = normalize_taps(taps)
-        sets, costs = build_colored_graph(vertices, 14).cover_inputs()
+        universe, sets, costs = sidc_instance()
         outcomes = []
         for cap in CAPS + (1_000, 4_000):
             outcomes.append(
-                assert_same_solve(set(vertices), sets, costs, cap, None)
+                assert_same_solve(universe, sets, costs, cap, None)
             )
-            assert_same_solve(set(vertices), sets, costs, 2_000_000, cap)
+            assert_same_solve(universe, sets, costs, 2_000_000, cap)
         # The caps stop the search with and without an incumbent, and let
         # it finish.
         kinds = {(kind, cover is not None) for kind, cover, _ in outcomes}
         assert kinds == {
             ("exhausted", False), ("exhausted", True), ("solved", True)
         }
+
+    def test_precharged_budgets_around_heartbeats_and_caps(self):
+        # A cascade charges graph-build units to the budget before the
+        # solve, so the solve starts anywhere relative to the next
+        # heartbeat and to the cap.
+        universe, sets, costs = sidc_instance()
+        _, _, nodes = assert_same_solve(universe, sets, costs, 2_000_000, None)
+        assert nodes > HEARTBEAT_NODES // 4
+        heartbeats = 0
+        for precharge in (
+            HEARTBEAT_NODES - 1, HEARTBEAT_NODES, HEARTBEAT_NODES + 1,
+            2 * HEARTBEAT_NODES - nodes // 2,
+        ):
+            for cap in (None, precharge + nodes // 2, precharge + nodes):
+                assert_same_solve(universe, sets, costs, 2_000_000, cap,
+                                  precharge)
+            heartbeats += len(run_capped(
+                exact_weighted_set_cover, universe, sets, costs, 2_000_000,
+                None, precharge,
+            )[4])
+        assert heartbeats >= 4  # each precharge crosses a heartbeat
+        cap = 3_000
+        for precharge in (cap - 1, cap, cap + 1):
+            for max_nodes in (1, 2_000_000):
+                assert_same_solve(universe, sets, costs, max_nodes, cap,
+                                  precharge)
+        kind, cover, spent = assert_same_solve(
+            universe, sets, costs, 2_000_000, cap, cap + 1
+        )
+        assert (kind, cover, spent) == ("exhausted", None, cap + 2)
+
+    def test_deadline_on_a_ticking_clock(self):
+        # A deadline is checked at every node: with a clock that moves at
+        # every reading, the solve stops at the oracle's node.
+        universe, sets, costs = sidc_instance()
+        stops = set()
+        for deadline_s in (0.0, 3.0, 40.0, 700.0, 5_000.0, 1e9):
+            for max_nodes in (25, 2_000_000):
+                expected, actual = (
+                    run_budgeted(
+                        solver, universe, sets, costs, max_nodes,
+                        RecordingBudget(deadline_s=deadline_s,
+                                        clock=ticking_clock()),
+                    )
+                    for solver in (per_node_exact_cover,
+                                   exact_weighted_set_cover)
+                )
+                assert actual == expected
+                stops.add(expected[0])
+        assert stops == {"exhausted", "solved"}
+
+    def test_forced_exhaustion_stops_at_the_first_node(self):
+        universe, sets, costs = sidc_instance()
+        outcomes = []
+        for solver in (per_node_exact_cover, exact_weighted_set_cover):
+            budget = RecordingBudget()
+            budget.exhaust()
+            outcomes.append(run_budgeted(
+                solver, universe, sets, costs, 2_000_000, budget
+            ))
+        assert outcomes[0] == outcomes[1] == (
+            "exhausted", None, 1,
+            "solver budget exhausted: forced exhaustion (no incumbent found)",
+            [],
+        )
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_str_tuple_and_negative_int_elements_and_keys(self, data):
+        universe = data.draw(st.sets(OTHER_HASHABLES, min_size=1, max_size=8))
+        keys = data.draw(st.lists(OTHER_HASHABLES, min_size=1, max_size=9,
+                                  unique=True))
+        sets = {
+            key: frozenset(data.draw(st.sets(
+                st.sampled_from(sorted(universe, key=repr)), max_size=5
+            )))
+            for key in keys
+        }
+        sets["all"] = frozenset(universe)
+        costs = {k: float(data.draw(st.integers(1, 6))) for k in sets}
+        for cap in CAPS:
+            assert_same_solve(universe, sets, costs, cap, None)
+            assert_same_solve(universe, sets, costs, 2_000_000, cap)
+
+    def test_empty_universe(self):
+        for sets in ({}, {"a": frozenset({1}), -1: frozenset()}):
+            costs = {k: 1.0 for k in sets}
+            for cap in (0, 1, 2_000_000):
+                assert_same_solve(set(), sets, costs, cap, None)
+                assert_same_solve(set(), sets, costs, 2_000_000, cap)
+            kind, cover, nodes = assert_same_solve(
+                set(), sets, costs, 2_000_000, None
+            )
+            assert (kind, cover.steps, nodes) == ("solved", (), 1)

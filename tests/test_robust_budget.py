@@ -11,6 +11,7 @@ from repro.graph import (
 from repro.numrep import enumerate_msd
 from repro.quantize import quantize_uniform, search_coefficients
 from repro.robust import SolverBudget
+from repro.robust.budget import HEARTBEAT_NODES
 
 ADVERSARIAL_UNIVERSE = {1, 2, 3, 4, 5, 6}
 ADVERSARIAL_SETS = {
@@ -81,6 +82,26 @@ class TestSolverBudget:
         with pytest.raises(BudgetExceeded) as info:
             budget.spend(partial="incumbent")
         assert info.value.partial == "incumbent"
+
+    def test_quiet_units_end_before_a_heartbeat_or_the_cap(self):
+        budget = SolverBudget(max_nodes=HEARTBEAT_NODES + 10)
+        assert budget.quiet_units == HEARTBEAT_NODES - 1
+        budget.spend_units(HEARTBEAT_NODES - 1)
+        assert budget.quiet_units == 0  # the next unit fires a heartbeat
+        budget.spend()
+        assert budget.quiet_units == 10  # now the cap comes first
+        budget.spend_units(10)
+        assert budget.quiet_units == 0
+        with pytest.raises(BudgetExceeded, match="node budget"):
+            budget.spend()
+        assert budget.quiet_units == 0
+
+    def test_no_quiet_units_under_a_deadline_or_a_forced_reason(self):
+        assert SolverBudget().quiet_units == HEARTBEAT_NODES - 1
+        assert SolverBudget(deadline_s=5.0).quiet_units == 0
+        forced = SolverBudget()
+        forced.exhaust()
+        assert forced.quiet_units == 0
 
     def test_invalid_limits(self):
         with pytest.raises(ReproError):
