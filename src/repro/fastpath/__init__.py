@@ -7,17 +7,14 @@ recursive MSD enumeration for coefficients that repeat across a sweep.  The
 robust path adds a third: the release audit simulating every candidate
 netlist.  This package provides drop-in fast kernels for all three:
 
-* :mod:`repro.fastpath.digitcost` — branch-free digit-cost functions
-  (``popcount``-identity CSD weights) used instead of building a
-  :class:`~repro.numrep.SignedDigits` string per color.
 * :mod:`repro.fastpath.graphbuild` — the colored graph built as flat
   per-edge columns (primary color, color shift, color sign, digit cost) by
-  a numpy kernel (int64 broadcasting + ``np.bitwise_count``) or a
-  pure-python fallback, sorted into a CSR (color, vertex) incidence by one
-  shared ``np.lexsort`` pass that any numpy release runs; the graph answers
+  int64 broadcasting and ``np.bitwise_count``, sorted into a CSR (color,
+  vertex) incidence by one ``np.lexsort`` pass; the graph answers
   color-set queries and builds the greedy's cover index from that
   incidence, and makes edge objects only for the colors the spanning
-  forest asks for.
+  forest asks for.  A vertex set whose values could leave int64 is built
+  by the reference loop.
 * :mod:`repro.fastpath.msdtables` — snapshot/restore/warm helpers around the
   process-local MSD digit table kept by :mod:`repro.numrep.msd`, so sweep
   workers inherit the parent's warmed tables at fork (or via the pool
@@ -25,10 +22,9 @@ netlist.  This package provides drop-in fast kernels for all three:
 * :mod:`repro.fastpath.tdfsim` — the release audit's simulators as columns:
   the exact and finite-wordlength TDF runs and the exhaustive block sweep
   evaluate every node, tap and register over the whole stimulus as one
-  int64 array instead of one Python step per node per cycle.  It needs only
-  basic int64 ops, so every mode except ``off`` uses it, whatever the
-  numpy release; a static magnitude bound sends any run that could leave
-  int64 to the reference loop.
+  int64 array instead of one Python step per node per cycle; a static
+  magnitude bound sends any run that could leave int64 to the reference
+  loop.
 
 Every kernel is provably equivalent to the reference implementation it
 replaces — ``tests/test_fastpath_equivalence.py`` asserts element-identical
@@ -40,21 +36,18 @@ selectable at runtime.
 Mode selection
 --------------
 
-The ``REPRO_FASTPATH`` environment variable picks the kernel:
+The ``REPRO_FASTPATH`` environment variable picks the kernels:
 
 ``auto`` (default)
-    numpy graph kernel when a capable numpy is importable, else pure python.
-``numpy``
-    force the numpy graph kernel (falls back to python if numpy is unusable).
-``python``
-    force the pure-python graph kernel (how CI exercises the fallback).
+    every fast path on.
 ``off``
     disable every fast path; run the original reference implementations.
 
-The MSD tables and the column simulators are on in every mode but ``off``.
+Any other value, including the retired ``numpy`` and ``python``, reads as
+``auto``.
 
 :func:`set_mode` overrides the environment for the current process (used by
-tests, benchmarks, and the CLI ``--fastpath`` flag).
+tests and benchmarks).
 """
 
 from __future__ import annotations
@@ -68,7 +61,6 @@ __all__ = [
     "fastpath_info",
     "graph_kernel",
     "msd_tables_enabled",
-    "numpy_usable",
     "resolve_mode",
     "set_mode",
     "tdfsim_enabled",
@@ -79,32 +71,11 @@ __all__ = [
 #: tag so results computed by a buggy kernel are orphaned at once.
 KERNEL_VERSION = 1
 
-MODES = ("auto", "numpy", "python", "off")
+MODES = ("auto", "off")
 
 #: Process-local override installed by :func:`set_mode`; ``None`` defers to
 #: the environment.
 _MODE_OVERRIDE: Optional[str] = None
-
-#: Memoized result of the numpy capability probe (``None`` = not probed).
-_NUMPY_USABLE: Optional[bool] = None
-
-
-def numpy_usable() -> bool:
-    """True when numpy is importable and has the int64 ops the kernel needs.
-
-    The numpy graph kernel requires ``np.bitwise_count`` (numpy >= 2.0) for
-    exact integer popcounts; an older numpy is treated as absent rather than
-    risking an inexact float detour.
-    """
-    global _NUMPY_USABLE
-    if _NUMPY_USABLE is None:
-        try:
-            import numpy as np
-
-            _NUMPY_USABLE = hasattr(np, "bitwise_count")
-        except ImportError:
-            _NUMPY_USABLE = False
-    return _NUMPY_USABLE
 
 
 def set_mode(mode: Optional[str]) -> None:
@@ -128,14 +99,8 @@ def resolve_mode() -> str:
 
 
 def graph_kernel() -> str:
-    """The effective graph-build kernel: ``numpy``, ``python``, or ``off``."""
-    mode = resolve_mode()
-    if mode == "off":
-        return "off"
-    if mode == "python":
-        return "python"
-    # auto and numpy both prefer numpy when it is actually usable.
-    return "numpy" if numpy_usable() else "python"
+    """The graph-build kernel the mode selects: ``numpy`` or ``off``."""
+    return "off" if resolve_mode() == "off" else "numpy"
 
 
 def msd_tables_enabled() -> bool:
@@ -156,7 +121,6 @@ def fastpath_info() -> Dict[str, object]:
         "mode": resolve_mode(),
         "graph_kernel": graph_kernel(),
         "msd_tables": msd_tables_enabled(),
-        "numpy_usable": numpy_usable(),
         "kernel_version": KERNEL_VERSION,
         "msd_table": table_stats(),
     }

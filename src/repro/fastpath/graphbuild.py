@@ -1,31 +1,31 @@
 """Batch construction of the SIDC colored multigraph, as flat columns.
 
 Equivalent to :func:`repro.graph.colored._build_edges` — same edges, same
-fields, same order — but it makes no per-edge or per-color object.  A
+fields, same order — but it makes no per-edge or per-color object.  A numpy
 kernel computes four flat columns over all ``2 * (max_shift + 1) * M *
 (M - 1)`` edges in the reference order ``(src, dst, shift, sign)``, the
 ``src == dst`` pairs left out: each edge's primary color, color shift,
-color sign and color digit cost.  One shared pass, :func:`_incidence`, then
-sorts the primary column into the deduplicated (color, vertex) incidence in
-CSR form, and the columns become a
-:class:`~repro.graph.colored.ColumnarGraph`, which answers the color-set
-queries from the incidence and makes
+color sign and color digit cost.  One pass, :func:`_incidence`, then sorts
+the primary column into the deduplicated (color, vertex) incidence in CSR
+form, and the columns become a :class:`~repro.graph.colored.ColumnarGraph`,
+which answers the color-set queries from the incidence and makes
 :class:`~repro.graph.colored.ColorEdge` objects only for the edges the
 spanning forest asks for.
 
 Against the reference loop:
 
-* the per-edge CSD re-encoding is replaced by the popcount digit-cost
-  kernels of :mod:`repro.fastpath.digitcost`, once per distinct color;
+* the per-edge CSD re-encoding is replaced by a popcount: by Reitwiesner's
+  classical result the nonzero digits of the non-adjacent (CSD) form of
+  ``n >= 0`` sit exactly at the set bits of ``n ^ 3n``, and the SM digit
+  count is ``popcount(n)``;
 * ``oddpart``'s trial division becomes the two's-complement trailing-zero
   trick ``mag & -mag``;
-* with a capable numpy, the columns and the digit costs are computed by
-  int64 broadcasting; the pure-python kernel computes the same columns over
-  precomputed shift tables;
+* the columns are int64 broadcasting, so every value must stay below
+  ``_NUMPY_VALUE_BOUND``; :func:`fits_int64` says whether a vertex set
+  does, and :func:`~repro.graph.colored.build_colored_graph` builds one
+  that does not with the reference loop;
 * the color sets are one ``np.lexsort`` over (color, vertex) instead of one
-  Python set per color.  The pass needs no ``np.bitwise_count``, so it
-  serves both kernels on any numpy release; past the int64 bound it sorts
-  object arrays of Python ints.
+  Python set per color.
 
 Column order is bit-for-bit the reference order, so every edge list the
 graph hands out — and therefore every exported artifact — is unchanged.
@@ -39,13 +39,10 @@ same message, merely after the column arithmetic instead of before it.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from ..errors import GraphError
 from ..numrep import Representation
-from .digitcost import fast_cost_fn
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
     import numpy as np
@@ -53,17 +50,15 @@ if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
     from ..graph.colored import ColumnarGraph
     from ..robust.budget import SolverBudget
 
-__all__ = ["Incidence", "build_graph_fast"]
+__all__ = ["Incidence", "build_graph_fast", "fits_int64"]
 
 #: Values at or above this bound leave the numpy int64 comfort zone
-#: (``3 * xi`` must not overflow); the builder silently drops to the
-#: pure-python kernel, which works on arbitrary-precision ints, and the
-#: incidence pass sorts object arrays.
+#: (``3 * xi`` must not overflow).
 _NUMPY_VALUE_BOUND = 1 << 60
 
-#: A kernel's output, one entry per edge: primary color, color shift,
+#: The kernel's output, one entry per edge: primary color, color shift,
 #: color sign and the primary color's digit cost.
-_Columns = Tuple[Sequence[int], List[int], List[int], Sequence[int]]
+_Columns = Tuple["np.ndarray", List[int], List[int], "np.ndarray"]
 
 
 class Incidence(NamedTuple):
@@ -73,8 +68,7 @@ class Incidence(NamedTuple):
     ``members[starts[i]:starts[i + 1]]`` (ascending) and costs
     ``costs[i]`` digits.  ``appearance`` lists the color slots in the order
     the colors first appear in the edge column, which is the order the
-    reference graph inserts them.  ``colors`` is int64, or an object array
-    of Python ints when the values may leave int64.
+    reference graph inserts them.  Every column is int64.
     """
 
     colors: "np.ndarray"
@@ -84,50 +78,55 @@ class Incidence(NamedTuple):
     appearance: "np.ndarray"
 
 
+def fits_int64(vertex_list: List[int], max_shift: int) -> bool:
+    """Whether every SID coefficient over ``vertex_list`` stays in int64."""
+    if not vertex_list:
+        return True
+    top = max(vertex_list)
+    return (top << max_shift) + top < _NUMPY_VALUE_BOUND
+
+
 def build_graph_fast(
     vertex_list: List[int],
     max_shift: int,
     representation: Representation,
     budget: Optional["SolverBudget"],
-    kernel: str,
 ) -> "ColumnarGraph":
-    """Build the full SIDC graph with the requested fast kernel.
+    """Build the full SIDC graph with the numpy kernel.
 
     ``vertex_list`` must be sorted, deduplicated odd positive integers —
     the same precondition the reference path enforces, checked here up
-    front so a bad vertex fails before any bulk work.
+    front so a bad vertex fails before any bulk work — and must pass
+    :func:`fits_int64`.
     """
     from ..graph.colored import ColumnarGraph
 
     for v in vertex_list:
         if v <= 0 or v % 2 == 0:
             raise GraphError(f"vertex {v} must be odd and positive")
-    fits = len(vertex_list) < 2 or (
-        (max(vertex_list) << max_shift) + max(vertex_list) < _NUMPY_VALUE_BOUND
-    )
-    use_numpy = kernel == "numpy" and len(vertex_list) >= 2 and fits
-    columns = _columns_numpy if use_numpy else _columns_python
-    primary, color_shifts, color_signs, weight = columns(
+    if not fits_int64(vertex_list, max_shift):
+        raise GraphError(
+            "vertex values leave int64; build the graph with the reference loop"
+        )
+    primary, color_shifts, color_signs, weight = _columns_numpy(
         vertex_list, max_shift, representation
     )
     if budget is not None:
         budget.spend_units(len(vertex_list) * (len(vertex_list) - 1))
     incidence = _incidence(
-        primary, weight, len(vertex_list), 2 * (max_shift + 1), fits
+        primary, weight, len(vertex_list), 2 * (max_shift + 1)
     )
-    primaries = primary if isinstance(primary, list) else primary.tolist()
     return ColumnarGraph(
-        vertex_list, representation, max_shift, primaries, color_shifts,
-        color_signs, incidence,
+        vertex_list, representation, max_shift, primary.tolist(),
+        color_shifts, color_signs, incidence,
     )
 
 
 def _incidence(
-    primary: Sequence[int],
-    weight: Sequence[int],
+    color: "np.ndarray",
+    weight: "np.ndarray",
     vertex_count: int,
     per_pair: int,
-    fits: bool,
 ) -> Incidence:
     """Sort the primary column into the (color, vertex) incidence.
 
@@ -138,7 +137,6 @@ def _incidence(
     """
     import numpy as np
 
-    color = np.asarray(primary, dtype=np.int64 if fits else object)
     dst = np.repeat(
         np.nonzero(~np.eye(vertex_count, dtype=bool))[1], per_pair
     )
@@ -157,50 +155,9 @@ def _incidence(
         colors=color[color_heads],
         starts=np.append(np.flatnonzero(new_color[fresh]), fresh.sum()),
         members=dst[fresh],
-        costs=np.asarray(weight, dtype=np.int64)[first_edge],
+        costs=weight[first_edge].astype(np.int64),
         appearance=np.argsort(first_edge, kind="stable"),
     )
-
-
-def _columns_python(
-    vertex_list: List[int],
-    max_shift: int,
-    representation: Representation,
-) -> _Columns:
-    """Pure-python kernel over precomputed shift tables.
-
-    The digit cost is computed once per distinct color; the weight column
-    reads it back per edge.
-    """
-    cost = fast_cost_fn(representation)
-    primaries: List[int] = []
-    color_shifts: List[int] = []
-    color_signs: List[int] = []
-    costs: Dict[int, int] = {}
-    shift_range = range(max_shift + 1)
-    for src in vertex_list:
-        shifted_tab = [src << s for s in shift_range]
-        for dst in vertex_list:
-            if dst == src:
-                continue
-            for shifted in shifted_tab:
-                # src_sign +1, then -1; neither xi is zero between distinct
-                # odd vertices.
-                for xi in (dst - shifted, dst + shifted):
-                    if xi > 0:
-                        color_signs.append(1)
-                        magnitude = xi
-                    else:
-                        color_signs.append(-1)
-                        magnitude = -xi
-                    color_shift = (magnitude & -magnitude).bit_length() - 1
-                    primary = magnitude >> color_shift
-                    primaries.append(primary)
-                    color_shifts.append(color_shift)
-                    if primary not in costs:
-                        costs[primary] = cost(primary)
-    weights = list(map(costs.__getitem__, primaries))
-    return primaries, color_shifts, color_signs, weights
 
 
 def _columns_numpy(

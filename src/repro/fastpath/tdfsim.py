@@ -26,8 +26,7 @@ point first propagates a static magnitude bound per site — from the largest
 input magnitude, the netlist's shifts and (fixed point) the declared widths
 — and returns ``None`` when any bound reaches ``2^62`` or an input is not a
 plain ``int``; the caller then runs its per-cycle reference loop, which
-stays the oracle (``tests/test_simulate_columnar.py``).  Only basic int64
-array ops are used, so any numpy release runs the kernel.
+stays the oracle (``tests/test_simulate_columnar.py``).
 """
 
 from __future__ import annotations

@@ -97,9 +97,10 @@ class ColoredGraph:
     * ``cover_index`` — the greedy cover's β-invariant state, built once
 
     This class holds every edge as a :class:`ColorEdge`, indexed eagerly;
-    the reference build (``REPRO_FASTPATH=off``) returns it.  The fast
-    kernels return a :class:`ColumnarGraph`, which answers the same queries
-    from flat per-edge columns and makes edges only when asked for them.
+    the reference build returns it (under ``REPRO_FASTPATH=off``, and for
+    a vertex set whose values could leave int64).  The numpy kernel
+    returns a :class:`ColumnarGraph`, which answers the same queries from
+    flat per-edge columns and makes edges only when asked for them.
     """
 
     def __init__(
@@ -251,7 +252,7 @@ class ColoredGraph:
 class ColumnarGraph(ColoredGraph):
     """A :class:`ColoredGraph` kept as flat columns.
 
-    The fast kernels of :mod:`repro.fastpath.graphbuild` compute each edge's
+    The numpy kernel of :mod:`repro.fastpath.graphbuild` computes each edge's
     primary color, color shift and color sign, in the reference order
     ``(src, dst, shift, sign)`` with the ``src == dst`` pairs left out.
     Between distinct odd vertices no SID coefficient is zero, so every
@@ -264,10 +265,10 @@ class ColumnarGraph(ColoredGraph):
     is found by bisection, and its set or cost is made only when asked for.
     :meth:`cover_inputs` returns read-only views over it, and
     :meth:`cover_index` builds the greedy's index straight from its columns
-    (:meth:`CoverIndex.from_columns`) whenever the colors fit int64.  The
-    spanning forest reads the edges of a handful of solution colors, so
-    edges are made on demand: :meth:`edges_into` makes the edges of one
-    color into one vertex the first time they are asked for and keeps them,
+    (:meth:`CoverIndex.from_columns`).  The spanning forest reads the edges
+    of a handful of solution colors, so edges are made on demand:
+    :meth:`edges_into` makes the edges of one color into one vertex the
+    first time they are asked for and keeps them,
     :meth:`edges_of_color` merges those per-vertex lists, and
     :meth:`colors_of_vertex` reads the column.  Every answer equals the
     eager graph's, order included (``tests/test_fastpath_equivalence.py``).
@@ -334,8 +335,6 @@ class ColumnarGraph(ColoredGraph):
 
     def _build_index(self, weights: Optional[Dict[int, float]]) -> CoverIndex:
         incidence = self._incidence
-        if incidence.colors.dtype == object:  # past int64: the generic path
-            return super()._build_index(weights)
         sets, costs = self.cover_inputs()
         return CoverIndex.from_columns(
             self._vertex_list, sets, costs, weights, incidence.colors,
@@ -518,12 +517,15 @@ def build_colored_graph(
     ``budget`` is charged per vertex pair so oversized builds raise
     :class:`~repro.errors.BudgetExceeded` instead of stalling the pipeline.
 
-    Construction normally runs through the batch kernels of
-    :mod:`repro.fastpath.graphbuild` (numpy when available, pure python
-    otherwise), which return a :class:`ColumnarGraph`: flat per-edge
-    columns, with edge objects made only when asked for.
-    ``REPRO_FASTPATH=off`` selects this module's reference loop instead,
-    which makes every edge up front.  The equivalence suite
+    Construction normally runs through the numpy kernel of
+    :mod:`repro.fastpath.graphbuild`, which returns a :class:`ColumnarGraph`:
+    flat per-edge columns, with edge objects made only when asked for.
+    This module's reference loop, which makes every edge up front and
+    works on arbitrary-precision ints, builds the graph instead under
+    ``REPRO_FASTPATH=off`` and whenever a value could leave int64
+    (:func:`~repro.fastpath.graphbuild.fits_int64`).  The ``graph.build``
+    span's ``kernel`` tag names the path that ran: ``numpy`` or
+    ``reference``.  The equivalence suite
     (``tests/test_fastpath_equivalence.py``) asserts the two paths are
     element-identical.
     """
@@ -531,22 +533,21 @@ def build_colored_graph(
     if max_shift < 0:
         raise GraphError(f"max_shift must be >= 0, got {max_shift}")
     from ..fastpath import graph_kernel
+    from ..fastpath.graphbuild import build_graph_fast, fits_int64
 
-    kernel = graph_kernel()
+    fast = graph_kernel() == "numpy" and fits_int64(vertex_list, max_shift)
     with obs_span(
         "graph.build",
         vertices=len(vertex_list),
         max_shift=max_shift,
         representation=representation.value,
-        kernel=kernel,
+        kernel="numpy" if fast else "reference",
     ):
-        if kernel == "off":
-            return _build_edges(vertex_list, max_shift, representation, budget)
-        from ..fastpath.graphbuild import build_graph_fast
-
-        return build_graph_fast(
-            vertex_list, max_shift, representation, budget, kernel
-        )
+        if fast:
+            return build_graph_fast(
+                vertex_list, max_shift, representation, budget
+            )
+        return _build_edges(vertex_list, max_shift, representation, budget)
 
 
 def _build_edges(

@@ -20,7 +20,8 @@ from repro.core import MrpOptions, lower_plan, mrp, optimize
 from repro.core.sidc import normalize_taps
 from repro.errors import BudgetExceeded, GraphError
 from repro.eval import BETA_SWEEP, best_mrpf, experiments
-from repro.fastpath.graphbuild import _NUMPY_VALUE_BOUND, build_graph_fast
+from repro import fastpath
+from repro.fastpath.graphbuild import _NUMPY_VALUE_BOUND
 from repro.filters import benchmark_suite
 from repro.graph import (
     CoverIndex,
@@ -299,8 +300,12 @@ def test_cover_index_built_once_per_graph_and_strategy(monkeypatch):
     assert len(built) == 3
 
 
-@pytest.mark.parametrize("kernel", ["python", "numpy"])
-def test_graph_past_int64_uses_the_mapping_constructor(kernel, monkeypatch):
+# Either graph path a run can ask for: the numpy kernel (fast path on) or
+# the pure-Python reference loop (fast path off).
+@pytest.mark.parametrize(
+    "mode", [pytest.param("off", id="python"), pytest.param("auto", id="numpy")],
+)
+def test_graph_past_int64_uses_the_mapping_constructor(mode, monkeypatch):
     built = []
 
     class CountingIndex(CoverIndex):
@@ -314,16 +319,19 @@ def test_graph_past_int64_uses_the_mapping_constructor(kernel, monkeypatch):
             return super().from_columns(*args, **kwargs)
 
     monkeypatch.setattr(colored, "CoverIndex", CountingIndex)
-    # (max << max_shift) + max passes _NUMPY_VALUE_BOUND: colors leave int64.
+    monkeypatch.setattr(fastpath, "_MODE_OVERRIDE", None)  # restored after
+    fastpath.set_mode(mode)
+    # (max << max_shift) + max passes _NUMPY_VALUE_BOUND: colors leave int64,
+    # so under either mode the reference loop builds the eager graph.
     vertices = [3, 5, 11, (1 << 58) + 1, (1 << 59) + 7]
     max_shift = 6
     assert (max(vertices) << max_shift) >= _NUMPY_VALUE_BOUND
-    graph = build_graph_fast(vertices, max_shift, Representation.CSD, None,
-                             kernel)
+    graph = build_colored_graph(vertices, max_shift, Representation.CSD)
+    assert type(graph) is colored.ColoredGraph
     reference = _build_edges(vertices, max_shift, Representation.CSD, None)
     universe = set(vertices)
     for strategy, betas in (("benefit", BETAS), ("savings", (0.5,))):
-        index = assert_index_matches_mapping_build(graph, strategy)
+        index = graph.cover_index(strategy)
         expected = reference.cover_index(strategy)
         for beta in betas:
             _assert_same(universe, index.sets, index.costs, beta,

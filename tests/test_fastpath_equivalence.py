@@ -5,9 +5,7 @@ that stays in the tree; this suite holds the two ends of each pair to
 element-identical output — same edges in the same order, same enumerations,
 same costs, same budget charging — under hypothesis-randomized coefficient
 sets, wordlengths, and shift ranges.  The graph comparisons run the numpy
-and pure-python kernels against the reference loop, and the numpy-absent
-world is simulated by monkeypatching the capability probe, so the fallback
-is exercised even on hosts with a capable numpy installed.
+kernel against the reference loop.
 """
 
 from __future__ import annotations
@@ -16,14 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
+from repro import fastpath, obs
 from repro.errors import BudgetExceeded, GraphError
-from repro.fastpath.digitcost import csd_cost_fast, fast_cost_fn, sm_cost_fast
-from repro.fastpath.graphbuild import build_graph_fast
+from repro.fastpath.graphbuild import (
+    _NUMPY_VALUE_BOUND,
+    _columns_numpy,
+    build_graph_fast,
+)
 from repro.fastpath import msdtables
 from repro.graph import build_spanning_forest, greedy_weighted_set_cover
 from repro.graph.colored import (
     ColorEdge,
+    ColoredGraph,
     ColumnarGraph,
     _build_edges,
     build_colored_graph,
@@ -37,13 +39,12 @@ from repro.numrep import (
     oddpart,
 )
 from repro.numrep import msd as msd_module
+from repro.obs import load_trace
 from repro.robust.budget import SolverBudget
 
 from .conftest import assert_index_matches_mapping_build
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-NUMPY_KERNEL = fastpath.numpy_usable()
 
 # Odd positive vertex mantissas in the range real quantized coefficients
 # occupy (<= 24-bit wordlengths).
@@ -97,76 +98,112 @@ def assert_graphs_identical(reference, candidate):
         )
 
 
+#: Each fast graph kernel, by the name its tests are parametrized with.
+FAST_KERNELS = {"numpy": build_graph_fast}
+
+# SID coefficients up to a quarter of the kernel's value bound: the vertex
+# pair kernel_columns builds for each stays inside it.
+KERNEL_VALUES = st.integers(min_value=1, max_value=_NUMPY_VALUE_BOUND >> 2)
+
+
+def kernel_columns(value, representation):
+    """The numpy kernel's primary, color shift and weight for SID ``value``.
+
+    The odd vertex ``dst = value + (1 << shift)``, with shift 1 for an odd
+    ``value`` and 0 for an even one, makes ``value`` the SID coefficient
+    of the edge ``1 -> dst`` at that shift and source sign +1: column
+    ``2 * shift``.
+    """
+    shift = value & 1
+    primary, color_shifts, _, weight = _columns_numpy(
+        [1, value + (1 << shift)], 1, representation
+    )
+    at = 2 * shift
+    return int(primary[at]), color_shifts[at], int(weight[at])
+
+
 class TestDigitCostKernels:
-    @given(st.integers(min_value=-(2**40), max_value=2**40))
+    """The numpy kernel's columns against the reference encoders.
+
+    The CSD weight is Reitwiesner's ``popcount(n ^ 3n)``, the SM weight
+    ``popcount(n)``, and the color shift the trailing-zero count.
+    """
+
+    @given(KERNEL_VALUES)
     def test_csd_popcount_identity(self, value):
-        assert csd_cost_fast(value) == csd_nonzero_count(value)
+        primary, _, weight = kernel_columns(value, Representation.CSD)
+        assert weight == csd_nonzero_count(primary)
+        assert weight == digit_cost(primary, Representation.CSD)
 
-    @given(st.integers(min_value=-(2**40), max_value=2**40))
+    @given(KERNEL_VALUES)
     def test_sm_cost(self, value):
-        assert sm_cost_fast(value) == digit_cost(value, Representation.SM)
+        primary, _, weight = kernel_columns(value, Representation.SM)
+        assert weight == digit_cost(primary, Representation.SM)
 
-    @given(st.integers(min_value=1, max_value=2**40), REPRESENTATIONS)
+    @given(KERNEL_VALUES, REPRESENTATIONS)
     def test_dispatch_matches_reference(self, value, representation):
-        assert fast_cost_fn(representation)(value) == (
-            digit_cost(value, representation)
-        )
+        primary, color_shift, weight = kernel_columns(value, representation)
+        assert primary == oddpart(value)
+        assert primary << color_shift == value
+        assert weight == digit_cost(primary, representation)
 
 
 class TestGraphKernelEquivalence:
     @given(VERTEX_SETS, SHIFTS, REPRESENTATIONS)
     @settings(max_examples=40)
-    def test_python_kernel_matches_reference(self, vertices, max_shift, rep):
-        vertex_list = sorted(set(vertices))
-        reference = _build_edges(vertex_list, max_shift, rep, None)
-        fast = build_graph_fast(vertex_list, max_shift, rep, None, "python")
-        assert_graphs_identical(reference, fast)
-
-    @pytest.mark.skipif(not NUMPY_KERNEL, reason="needs numpy >= 2.0")
-    @given(VERTEX_SETS, SHIFTS, REPRESENTATIONS)
-    @settings(max_examples=40)
     def test_numpy_kernel_matches_reference(self, vertices, max_shift, rep):
         vertex_list = sorted(set(vertices))
         reference = _build_edges(vertex_list, max_shift, rep, None)
-        fast = build_graph_fast(vertex_list, max_shift, rep, None, "numpy")
+        fast = build_graph_fast(vertex_list, max_shift, rep, None)
         assert_graphs_identical(reference, fast)
 
     def test_numpy_kernel_drops_to_python_past_int64(self):
-        # (max_v << max_shift) + max_v would overflow 3*xi in int64; the
-        # dispatcher must pick the bignum-safe python kernel, silently.
+        # (max_v << max_shift) + max_v would overflow 3*xi in int64; under
+        # auto the build must drop to the bignum-safe reference loop, silently.
         huge = [(1 << 61) + 1, 3]
+        fastpath.set_mode("auto")
+        graph = build_colored_graph(huge, 2)
+        assert type(graph) is ColoredGraph
         reference = _build_edges(sorted(huge), 2, Representation.CSD, None)
-        fast = build_graph_fast(sorted(huge), 2, Representation.CSD, None, "numpy")
-        assert_graphs_identical(reference, fast)
+        assert_graphs_identical(reference, graph)
 
     def test_build_colored_graph_modes_agree(self):
         vertices = [3, 7, 11, 23, 45]
         graphs = {}
-        for mode in ("off", "python", "auto"):
+        for mode in ("off", "auto"):
             fastpath.set_mode(mode)
             graphs[mode] = build_colored_graph(vertices, 6)
-        assert_graphs_identical(graphs["off"], graphs["python"])
+        assert isinstance(graphs["auto"], ColumnarGraph)
         assert_graphs_identical(graphs["off"], graphs["auto"])
 
-    def test_fallback_when_numpy_unusable(self, monkeypatch):
-        # Simulate a numpy-less host: auto must resolve to the python
-        # kernel and still build the identical graph.
-        monkeypatch.setattr(fastpath, "_NUMPY_USABLE", False)
-        assert fastpath.graph_kernel() == "python"
-        fastpath.set_mode("off")
-        reference = build_colored_graph([3, 5, 9], 4)
-        fastpath.set_mode("auto")
-        assert_graphs_identical(reference, build_colored_graph([3, 5, 9], 4))
+    def test_build_span_tags_the_path_that_ran(self, tmp_path):
+        obs.reset()
+        obs.configure(trace_path=tmp_path / "t.jsonl")
+        try:
+            build_colored_graph([3, 5, 9], 4)  # in bound: the numpy kernel
+            build_colored_graph([3, (1 << 61) + 1], 2)  # past it: reference
+            fastpath.set_mode("off")
+            build_colored_graph([3, 5, 9], 4)
+            records = load_trace(obs.finalize()["trace"])
+        finally:
+            obs.reset()
+        kernels = [
+            (r["tags"]["vertices"], r["tags"]["kernel"])
+            for r in records if r["kind"] == "span" and r["name"] == "graph.build"
+        ]
+        assert kernels == [(3, "numpy"), (2, "reference"), (3, "reference")]
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_rejects_invalid_vertices(self, kernel):
+        build = FAST_KERNELS[kernel]
         with pytest.raises(GraphError):
-            build_graph_fast([4], 2, Representation.CSD, None, kernel)
+            build([4], 2, Representation.CSD, None)
         with pytest.raises(GraphError):
-            build_graph_fast([-3, 5], 2, Representation.CSD, None, kernel)
+            build([-3, 5], 2, Representation.CSD, None)
+        with pytest.raises(GraphError, match="int64"):
+            build([3, (1 << 61) + 1], 2, Representation.CSD, None)
 
 
-FAST_KERNELS = ("python", "numpy") if NUMPY_KERNEL else ("python",)
 BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -205,10 +242,8 @@ class TestLazyEdges:
         absent = {2, 2 * colors[-1] + 1}
         allowed_sets.append(absent)
         allowed_sets.append(allowed_sets[0] | absent)
-        for kernel in FAST_KERNELS:
-            fast = build_graph_fast(
-                vertex_list, max_shift, Representation.CSD, None, kernel
-            )
+        for build in FAST_KERNELS.values():
+            fast = build(vertex_list, max_shift, Representation.CSD, None)
             for allowed in allowed_sets:
                 for vertex in vertex_list:
                     expected = reference.edges_into(vertex, allowed)
@@ -223,7 +258,7 @@ class TestLazyEdges:
     def test_caches_warmed_in_any_order(self, kernel, order):
         vertex_list = [3, 7, 11, 23, 45, 91, 105]
         reference = _build_edges(vertex_list, 6, Representation.CSD, None)
-        fast = build_graph_fast(vertex_list, 6, Representation.CSD, None, kernel)
+        fast = FAST_KERNELS[kernel](vertex_list, 6, Representation.CSD, None)
         solutions = greedy_solutions(reference)
         colors = sorted(set().union(*solutions))
         vertices = list(vertex_list)
@@ -258,7 +293,7 @@ class TestLazyEdges:
         # The forest ranks them equal, so the first one it is handed wins.
         vertex_list = [1, 7]
         reference = _build_edges(vertex_list, 3, Representation.CSD, None)
-        fast = build_graph_fast(vertex_list, 3, Representation.CSD, None, kernel)
+        fast = FAST_KERNELS[kernel](vertex_list, 3, Representation.CSD, None)
         tied = [
             edge for edge in reference.edges_into(7, {5, 9})
             if edge.src == 1 and edge.shift == 1
@@ -282,7 +317,7 @@ class TestLazyEdges:
 
         monkeypatch.setattr(ColorEdge, "__post_init__", counting)
         vertex_list = [3, 7, 11, 23, 45]
-        fast = build_graph_fast(vertex_list, 6, Representation.CSD, None, kernel)
+        fast = FAST_KERNELS[kernel](vertex_list, 6, Representation.CSD, None)
         assert fast.num_edges == 2 * 7 * 5 * 4
         fast.cover_index("benefit")
         fast.cover_index("savings")
@@ -315,7 +350,7 @@ class TestLazyEdges:
         monkeypatch.setattr(ColorEdge, "__post_init__", counting)
         monkeypatch.setattr(ColumnarGraph, "_set_at", counting_set_at)
         vertex_list = [3, 7, 11, 23, 45, 91, 105]
-        fast = build_graph_fast(vertex_list, 8, Representation.CSD, None, kernel)
+        fast = FAST_KERNELS[kernel](vertex_list, 8, Representation.CSD, None)
         strategies = (("benefit", BETAS), ("savings", (0.5,)))
         for strategy, _ in strategies:
             fast.cover_index(strategy)
@@ -346,8 +381,8 @@ class TestCoverIndexEquivalence:
         vertex_list = sorted(vertices)
         reference = _build_edges(vertex_list, max_shift, rep, None)
         ref_sets, ref_costs = reference.cover_inputs()
-        for kernel in FAST_KERNELS:
-            fast = build_graph_fast(vertex_list, max_shift, rep, None, kernel)
+        for build in FAST_KERNELS.values():
+            fast = build(vertex_list, max_shift, rep, None)
             sets, costs = fast.cover_inputs()
             # Views: the reference graph's keys in its order, per-key
             # lookups equal to the bulk walk, O(1) length.
@@ -373,11 +408,9 @@ class TestGraphBudgetEquivalence:
         reference = self._spent_at_failure(
             lambda b: _build_edges(self.VERTICES, 4, Representation.CSD, b)
         )
-        for kernel in ("python", "numpy") if NUMPY_KERNEL else ("python",):
+        for build in FAST_KERNELS.values():
             fast = self._spent_at_failure(
-                lambda b: build_graph_fast(
-                    self.VERTICES, 4, Representation.CSD, b, kernel
-                )
+                lambda b: build(self.VERTICES, 4, Representation.CSD, b)
             )
             assert fast == reference
 
@@ -385,31 +418,25 @@ class TestGraphBudgetEquivalence:
     def test_partial_build_raises_like_reference(self, cap):
         """A cap inside the build stops every kernel at the same place."""
 
-        def failure(kernel):
+        def failure(mode):
             budget = SolverBudget(max_nodes=cap).start()
-            fastpath.set_mode(kernel)
+            fastpath.set_mode(mode)
             with pytest.raises(BudgetExceeded) as caught:
                 build_colored_graph(self.VERTICES, 4, Representation.CSD, budget)
             return budget.nodes_used, str(caught.value)
 
         reference = failure("off")
         assert reference[0] == cap + 1
-        for kernel in FAST_KERNELS:
-            assert failure(kernel) == reference
+        assert failure("auto") == reference
 
     def test_sufficient_budget_builds_identical_graph(self):
-        def build(kernel):
+        def build(builder):
             budget = SolverBudget(max_nodes=10_000).start()
-            if kernel == "off":
-                return _build_edges(self.VERTICES, 4, Representation.CSD, budget)
-            return build_graph_fast(
-                self.VERTICES, 4, Representation.CSD, budget, kernel
-            )
+            return builder(self.VERTICES, 4, Representation.CSD, budget)
 
-        reference = build("off")
-        assert_graphs_identical(reference, build("python"))
-        if NUMPY_KERNEL:
-            assert_graphs_identical(reference, build("numpy"))
+        reference = build(_build_edges)
+        for builder in FAST_KERNELS.values():
+            assert_graphs_identical(reference, build(builder))
 
 
 class TestMsdTableEquivalence:
@@ -470,8 +497,10 @@ class TestMsdTableEquivalence:
 
 class TestModeMachinery:
     def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            fastpath.set_mode("turbo")
+        # "numpy" and "python" are retired modes: unknown like any typo.
+        for mode in ("turbo", "numpy", "python"):
+            with pytest.raises(ValueError, match=r"choose from \('auto', 'off'\)"):
+                fastpath.set_mode(mode)
 
     def test_env_selects_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "off")
@@ -481,8 +510,18 @@ class TestModeMachinery:
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTPATH", "off")
-        fastpath.set_mode("python")
-        assert fastpath.graph_kernel() == "python"
+        fastpath.set_mode("auto")
+        assert fastpath.graph_kernel() == "numpy"
+
+    @pytest.mark.parametrize("raw", ["numpy", "python"])
+    def test_retired_env_values_resolve_to_auto(self, raw, monkeypatch):
+        # Benchmark and service children inherit the ambient environment, so
+        # a retired REPRO_FASTPATH value must run the fast paths, not fail.
+        monkeypatch.setenv("REPRO_FASTPATH", raw)
+        assert fastpath.resolve_mode() == "auto"
+        assert fastpath.graph_kernel() == "numpy"
+        assert fastpath.msd_tables_enabled() and fastpath.tdfsim_enabled()
+        assert isinstance(build_colored_graph([3, 5, 9], 4), ColumnarGraph)
 
     def test_info_is_json_friendly(self):
         import json
