@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import List, Tuple
 
 from .design import design_fir
 from .specs import BandType, DesignMethod, FilterSpec
 from .structures import fold_symmetric
+from .suite_taps import SUITE_TAPS
 
 __all__ = ["DesignedFilter", "TABLE1_SPECS", "benchmark_suite", "benchmark_filter"]
 
@@ -94,12 +96,21 @@ TABLE1_SPECS: List[FilterSpec] = [
 ]
 
 
+# The suite's designs, checked in as exact float taps (``suite_taps.py``) so
+# that no sweep has to import scipy.  Keyed on the spec each was designed for.
+_CHECKED_IN_TAPS = MappingProxyType({spec: hexes for spec, hexes in SUITE_TAPS})
+
+
 # Keyed on the (frozen, hashable) spec itself rather than a positional index:
 # the design depends on nothing else, so an edited/substituted TABLE1_SPECS
 # entry can never be served a stale result designed for the old spec.
 @lru_cache(maxsize=None)
 def _design_cached(spec: FilterSpec) -> DesignedFilter:
-    taps = design_fir(spec)
+    hexes = _CHECKED_IN_TAPS.get(spec)
+    if hexes is None:
+        taps = design_fir(spec)
+    else:
+        taps = tuple(float.fromhex(h) for h in hexes)
     folded, _ = fold_symmetric(taps)
     return DesignedFilter(
         spec=spec,

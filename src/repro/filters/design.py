@@ -2,7 +2,9 @@
 
 Every backend returns a symmetric (Type-I) tap vector for a
 :class:`~repro.filters.specs.FilterSpec`.  These are the "BW", "PM" and "LS"
-columns of the paper's Table 1.
+columns of the paper's Table 1.  Each backend imports ``scipy.signal`` when
+it runs: the Table-1 suite's taps are checked in (``suite_taps.py``), so the
+synthesis paths never pay scipy's import time.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy import signal
 
 from ..errors import FilterDesignError
 from .specs import BandType, DesignMethod, FilterSpec
@@ -67,17 +68,23 @@ def firls_bands(spec: FilterSpec) -> Tuple[List[float], List[float], List[float]
 
 
 def _design_parks_mcclellan(spec: FilterSpec) -> np.ndarray:
+    from scipy import signal
+
     bands, desired, weights = remez_bands(spec)
     return signal.remez(spec.numtaps, bands, desired, weight=weights, fs=2.0)
 
 
 def _design_least_squares(spec: FilterSpec) -> np.ndarray:
+    from scipy import signal
+
     bands, desired, weights = firls_bands(spec)
     return signal.firls(spec.numtaps, bands, desired, weight=weights, fs=2.0)
 
 
 def _butterworth_magnitude(spec: FilterSpec, grid: np.ndarray) -> np.ndarray:
     """Sampled magnitude of the IIR Butterworth meeting the spec."""
+    from scipy import signal
+
     fp1, fp2 = spec.passband
     fs1, fs2 = spec.stopband
     if spec.band is BandType.LOWPASS:
@@ -106,6 +113,8 @@ def _design_butterworth_fir(spec: FilterSpec) -> np.ndarray:
     with :func:`scipy.signal.firwin2` (frequency-sampling + window), which
     yields exactly symmetric coefficients.
     """
+    from scipy import signal
+
     grid = np.linspace(0.0, 1.0, 512)
     gains = _butterworth_magnitude(spec, grid)
     gains[0] = gains[0] if spec.band not in (BandType.HIGHPASS, BandType.BANDPASS) else 0.0

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 from ..errors import FilterDesignError, QuantizationError
 
@@ -61,6 +60,8 @@ class IirSpec:
 
 def design_iir(spec: IirSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Design ``(b, a)`` transfer-function coefficients for the spec."""
+    from scipy import signal
+
     wn = spec.cutoff if len(spec.cutoff) > 1 else spec.cutoff[0]
     if spec.design == "butter":
         b, a = signal.butter(spec.order, wn, btype=spec.btype, fs=2.0)

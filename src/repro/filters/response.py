@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 from .specs import BandType, FilterSpec
 
@@ -37,6 +36,8 @@ def frequency_response(
     taps: Sequence[float], num_points: int = 2048
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return (frequencies normalized to Nyquist, complex response)."""
+    from scipy import signal
+
     freqs, response = signal.freqz(np.asarray(list(taps), dtype=float), worN=num_points)
     return freqs / np.pi, response
 

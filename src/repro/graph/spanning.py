@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..errors import GraphError
 from ..obs import span as obs_span
 from .colored import ColorEdge, ColoredGraph
@@ -214,14 +212,28 @@ def _choose_root(
     the smallest remaining vertex, the vertex of minimum eccentricity wins
     (smallest value breaks ties).
     """
-    undirected = nx.Graph()
-    undirected.add_nodes_from(unassigned)
+    adjacency: Dict[int, Set[int]] = {v: set() for v in unassigned}
     for color in colors:
         for edge in graph.edges_of_color(color):
             if edge.src in unassigned and edge.dst in unassigned:
-                undirected.add_edge(edge.src, edge.dst)
-    anchor = min(unassigned)
-    component = nx.node_connected_component(undirected, anchor)
-    subgraph = undirected.subgraph(component)
-    eccentricities = nx.eccentricity(subgraph)
-    return min(sorted(component), key=lambda v: (eccentricities[v], v))
+                adjacency[edge.src].add(edge.dst)
+                adjacency[edge.dst].add(edge.src)
+    component = sorted(_bfs_depths(adjacency, min(unassigned)))
+    return min(
+        component, key=lambda v: (max(_bfs_depths(adjacency, v).values()), v)
+    )
+
+
+def _bfs_depths(adjacency: Dict[int, Set[int]], source: int) -> Dict[int, int]:
+    """Hop distance from ``source`` to every vertex of its component."""
+    depths = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in depths:
+                    depths[w] = depths[v] + 1
+                    reached.append(w)
+        frontier = reached
+    return depths

@@ -11,7 +11,6 @@ cascade.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from ..errors import FilterDesignError
 
@@ -35,6 +34,8 @@ def design_halfband(numtaps: int, transition: float = 0.1) -> np.ndarray:
         )
     if not 0.0 < transition < 0.5:
         raise FilterDesignError(f"transition {transition} out of (0, 0.5)")
+    from scipy import signal
+
     half_length = (numtaps + 1) // 2
     # Design g(n) with passband [0, 0.5 - 2*transition] on the half-rate grid.
     edge = 0.5 - transition

@@ -11,7 +11,7 @@ Layering (each piece is independently testable):
   :func:`~repro.eval.parallel.run_sweep_parallel`.  It knows nothing
   about HTTP.
 
-* :class:`ServiceHTTPHandler` on a ``ThreadingHTTPServer`` — a thin
+* :class:`ServiceHTTPHandler` on a :class:`ServiceHTTPServer` — a thin
   translation layer: JSON in/out, exception type → status code,
   ``Retry-After`` from :class:`~repro.errors.AdmissionRejected`.
 
@@ -25,6 +25,7 @@ the tasks whose outcomes never reached disk.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -64,6 +65,7 @@ from .store import JobSpec, JobState, JobStore
 __all__ = [
     "ServiceConfig",
     "ServiceHTTPHandler",
+    "ServiceHTTPServer",
     "SynthesisService",
     "make_server",
 ]
@@ -865,9 +867,26 @@ def _query_opt_float(
         ) from exc
 
 
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that does not log clients hanging up.
+
+    A client that resets or closes its connection mid-request is routine
+    (timeouts, retries, killed callers) and says nothing about the server;
+    the stock handler would print a full traceback for each one.  Every
+    other exception still goes to the stock handler.
+    """
+
+    daemon_threads = True
+
+    def handle_error(self, request, client_address) -> None:
+        if isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
+            return
+        super().handle_error(request, client_address)
+
+
 def make_server(
     config: ServiceConfig,
-) -> Tuple[ThreadingHTTPServer, SynthesisService]:
+) -> Tuple[ServiceHTTPServer, SynthesisService]:
     """Build (but do not start serving) the engine plus its HTTP server."""
     service = SynthesisService(config)
     service.start()
@@ -876,6 +895,5 @@ def make_server(
         pass
 
     _Handler.service = service
-    server = ThreadingHTTPServer((config.host, config.port), _Handler)
-    server.daemon_threads = True
+    server = ServiceHTTPServer((config.host, config.port), _Handler)
     return server, service

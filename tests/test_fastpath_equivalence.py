@@ -5,16 +5,21 @@ that stays in the tree; this suite holds the two ends of each pair to
 element-identical output — same edges in the same order, same enumerations,
 same costs, same budget charging — under hypothesis-randomized coefficient
 sets, wordlengths, and shift ranges.  The graph comparisons run the numpy
-kernel against the reference loop.
+kernel against the reference loop, and the spanning forest's BFS root
+choice runs against networkx's eccentricity.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import fastpath, obs
+from repro.core.mrp import MrpOptions, optimize
 from repro.errors import BudgetExceeded, GraphError
 from repro.fastpath.graphbuild import (
     _NUMPY_VALUE_BOUND,
@@ -22,7 +27,8 @@ from repro.fastpath.graphbuild import (
     build_graph_fast,
 )
 from repro.fastpath import msdtables
-from repro.graph import build_spanning_forest, greedy_weighted_set_cover
+from repro.filters import benchmark_suite
+from repro.graph import build_spanning_forest, greedy_weighted_set_cover, spanning
 from repro.graph.colored import (
     ColorEdge,
     ColoredGraph,
@@ -40,6 +46,7 @@ from repro.numrep import (
 )
 from repro.numrep import msd as msd_module
 from repro.obs import load_trace
+from repro.quantize import ScalingScheme, quantize
 from repro.robust.budget import SolverBudget
 
 from .conftest import assert_index_matches_mapping_build
@@ -537,3 +544,86 @@ class TestOddpartAgreement:
         color_shift = (magnitude & -magnitude).bit_length() - 1
         assert magnitude >> color_shift == abs(oddpart(magnitude))
         assert magnitude % (1 << color_shift) == 0
+
+
+def networkx_root(graph, colors, unassigned):
+    """The root rule as networkx states it: the reference for the BFS."""
+    undirected = nx.Graph()
+    undirected.add_nodes_from(unassigned)
+    for color in colors:
+        for edge in graph.edges_of_color(color):
+            if edge.src in unassigned and edge.dst in unassigned:
+                undirected.add_edge(edge.src, edge.dst)
+    component = nx.node_connected_component(undirected, min(unassigned))
+    eccentricities = nx.eccentricity(undirected.subgraph(component))
+    return min(sorted(component), key=lambda v: (eccentricities[v], v))
+
+
+class _EdgeTable:
+    """Just the part of a colored graph the root choice reads."""
+
+    def __init__(self, edges):
+        self._by_color = {}
+        for src, dst, color in edges:
+            self._by_color.setdefault(color, []).append(
+                SimpleNamespace(src=src, dst=dst)
+            )
+
+    def edges_of_color(self, color):
+        return tuple(self._by_color.get(color, ()))
+
+
+@st.composite
+def root_instances(draw):
+    """Undirected multigraphs with self-loops, several components, and
+    edges of unchosen colors or to already-assigned vertices."""
+    vertices = draw(st.lists(
+        st.integers(min_value=0, max_value=60), min_size=1, max_size=24, unique=True,
+    ))
+    unassigned = set(draw(st.lists(
+        st.sampled_from(vertices), min_size=1, max_size=len(vertices), unique=True,
+    )))
+    edges = draw(st.lists(st.tuples(
+        st.sampled_from(vertices), st.sampled_from(vertices),
+        st.integers(min_value=0, max_value=5),
+    ), max_size=48))
+    colors = set(draw(st.lists(st.integers(min_value=0, max_value=5), unique=True)))
+    return edges, colors, unassigned
+
+
+class TestRootChoice:
+    """``_choose_root``'s BFS picks the vertex networkx's eccentricity picks."""
+
+    @given(root_instances())
+    @example(([(1, 1, 0), (1, 2, 0), (2, 3, 0), (5, 6, 0), (6, 6, 0)], {0},
+              {1, 2, 3, 5, 6}))
+    @example(([(4, 4, 1)], {1}, {4}))
+    @example(([(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0), (9, 0, 0)], {0},
+              {0, 1, 2, 3}))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, instance):
+        edges, colors, unassigned = instance
+        graph = _EdgeTable(edges)
+        assert spanning._choose_root(graph, colors, set(unassigned)) == (
+            networkx_root(graph, colors, unassigned)
+        )
+
+    def test_roots_of_the_suite_forests(self, monkeypatch):
+        """Every root chosen on the 96 suite points at Table 1's depth bound."""
+        choose_root = spanning._choose_root
+        calls = []
+
+        def checked(graph, colors, unassigned):
+            root = choose_root(graph, colors, unassigned)
+            assert root == networkx_root(graph, colors, unassigned)
+            calls.append(root)
+            return root
+
+        monkeypatch.setattr(spanning, "_choose_root", checked)
+        options = MrpOptions(depth_limit=3)
+        for designed in benchmark_suite():
+            for wordlength in (8, 12, 16, 20):
+                for scheme in ScalingScheme:
+                    taps = quantize(designed.folded, wordlength, scheme).integers
+                    optimize(taps, wordlength, options)
+        assert len(calls) > 96

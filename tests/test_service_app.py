@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import struct
 import subprocess
 import sys
 import time
 from http.server import ThreadingHTTPServer
 from pathlib import Path
-from threading import Thread
+from threading import Event, Thread
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.eval.experiments import clear_cache
 from repro.service.app import (
     ServiceConfig,
     ServiceHTTPHandler,
+    ServiceHTTPServer,
     SynthesisService,
     make_server,
 )
@@ -107,14 +110,51 @@ def idle(tmp_path):
         pass
 
     _Handler.service = service
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.daemon_threads = True
+    server = ServiceHTTPServer(("127.0.0.1", 0), _Handler)
     thread = Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield {"port": server.server_address[1], "service": service}
+    yield {"port": server.server_address[1], "service": service, "server": server}
     server.shutdown()
     server.server_close()
     service.store.close()
+
+
+class TestClientHangUp:
+    """A client resetting its connection is routine and must not be logged."""
+
+    def test_reset_mid_request_prints_no_traceback(self, idle, capsys):
+        server = idle["server"]
+        errors, handled = [], Event()
+        handle_error, shutdown_request = server.handle_error, server.shutdown_request
+
+        def record_error(request, client_address):
+            errors.append(sys.exc_info()[0])
+            handle_error(request, client_address)
+
+        def record_shutdown(request):
+            shutdown_request(request)
+            handled.set()
+
+        server.handle_error, server.shutdown_request = record_error, record_shutdown
+        sock = socket.create_connection(("127.0.0.1", idle["port"]), timeout=10)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\nAcc")
+        time.sleep(0.1)  # let the handler block reading the rest of the headers
+        # SO_LINGER with a zero timeout makes close() send a RST, not a FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        assert handled.wait(10.0)
+        assert errors == [ConnectionResetError]
+        status, _, body = request(idle["port"], "GET", "/healthz")
+        assert status == 200 and body == "ok\n"
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_other_errors_still_reach_the_stock_handler(self, idle, capsys):
+        try:
+            raise ValueError("handler bug")
+        except ValueError:
+            idle["server"].handle_error(None, ("127.0.0.1", 0))
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: handler bug" in err
 
 
 class TestHealthAndMetrics:
