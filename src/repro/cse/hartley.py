@@ -23,11 +23,13 @@ from ..errors import SynthesisError
 from ..numrep import Representation, encode, odd_normalize
 from .patterns import (
     INPUT_SYMBOL,
-    Occurrence,
+    Key,
+    Match,
     Pattern,
     Term,
-    count_frequencies,
-    find_pattern_occurrences,
+    first_fit,
+    is_shifted,
+    mine_constant,
 )
 
 __all__ = ["CseNetwork", "eliminate", "eliminate_from_terms", "cse_adder_count", "build_cse_refs"]
@@ -108,24 +110,47 @@ def eliminate_from_terms(
 
     Used by :mod:`repro.cse.msd_search`, which picks a non-canonical minimal
     signed-digit encoding per constant before extraction.  Each term list
-    must sum to its constant (validated by the returned network).
+    must sum to its constant (validated by the returned network); the
+    lists are rewritten in place.
+
+    The extraction is incremental.  Each constant's patterns are mined once,
+    and a pattern's frequency is the sum of its per-constant counts.  An
+    extraction rewrites only the constants holding the chosen pattern, so
+    only those are mined again.  Every other constant keeps its terms and so
+    its occurrences; it only loses the patterns the new symbol makes trivial
+    (a pattern never stops being trivial, since symbols are only added).
     """
     constants = tuple(int(c) for c in constants)
     symbol_values: Dict[int, int] = {INPUT_SYMBOL: 1}
     subexpressions: Dict[int, Pattern] = {}
+    # Value of every pattern seen (None: useless); a live pattern's value
+    # is kept current, a pattern that leaves the live set is forgotten.
+    values: Dict[Key, Optional[int]] = {}
+    mined = [_mine(t, values, symbol_values) for t in terms]
+    totals: Dict[Key, int] = {}
+    for found in mined:
+        _add_counts(totals, found)
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
         rounds += 1
-        occurrences = find_pattern_occurrences(terms, symbol_values)
-        frequencies = count_frequencies(occurrences)
-        best = _select_pattern(frequencies, symbol_values)
+        best = _select_pattern(totals, values)
         if best is None:
             break
-        pattern = best
         symbol = len(symbol_values)
-        symbol_values[symbol] = pattern.value(symbol_values)
-        subexpressions[symbol] = pattern
-        _rewrite(terms, occurrences[pattern], pattern, symbol)
+        symbol_values[symbol] = values[best]
+        subexpressions[symbol] = Pattern(*best)
+        hits = [(i, found[best][0]) for i, found in enumerate(mined) if best in found]
+        base = abs(symbol_values[symbol])
+        for key in [k for k in totals if is_shifted(abs(values[k]), base)]:
+            values[key] = None
+            del totals[key]
+            for found in mined:
+                found.pop(key, None)
+        for index, matches in hits:
+            terms[index] = _rewrite(terms[index], matches, symbol)
+            _drop_counts(totals, values, mined[index])
+            mined[index] = _mine(terms[index], values, symbol_values)
+            _add_counts(totals, mined[index])
 
     return CseNetwork(
         constants=constants,
@@ -135,57 +160,67 @@ def eliminate_from_terms(
     )
 
 
+Mined = Dict[Key, Tuple[List[Match], int]]
+
+
+def _mine(
+    terms: List[Term], values: Dict[Key, Optional[int]], symbol_values: Dict[int, int]
+) -> Mined:
+    """One constant's patterns: occurrences and non-overlapping count."""
+    found = mine_constant(terms, values, symbol_values)
+    return {key: (matches, len(first_fit(matches))) for key, matches in found.items()}
+
+
+def _add_counts(totals: Dict[Key, int], found: Mined) -> None:
+    for key, (_, count) in found.items():
+        totals[key] = totals.get(key, 0) + count
+
+
+def _drop_counts(
+    totals: Dict[Key, int], values: Dict[Key, Optional[int]], found: Mined
+) -> None:
+    """Take one constant's counts out; forget patterns that no longer occur."""
+    for key, (_, count) in found.items():
+        left = totals[key] - count
+        if left:
+            totals[key] = left
+        else:
+            del totals[key]
+            del values[key]
+
+
 def _select_pattern(
-    frequencies: Dict[Pattern, int], symbol_values: Dict[int, int]
-) -> Optional[Pattern]:
+    frequencies: Dict[Key, int], values: Dict[Key, Optional[int]]
+) -> Optional[Key]:
     """Most frequent pattern (needs >= 2), deterministic tie-breaking.
 
     Ties prefer the pattern with the smaller absolute value (cheaper wiring
-    growth), then the lexicographically smallest definition.
+    growth), then the lexicographically smallest definition.  The rank is a
+    total order over distinct patterns, so the winner does not depend on
+    the order of ``frequencies``.
     """
-    best: Optional[Pattern] = None
+    best: Optional[Key] = None
     best_rank: Tuple[int, int, Tuple] = (0, 0, ())
-    for pattern, frequency in frequencies.items():
+    for key, frequency in frequencies.items():
         if frequency < 2:
             continue
-        rank = (
-            frequency,
-            -abs(pattern.value(symbol_values)),
-            (-pattern.sym_a, -pattern.sym_b, -pattern.delta, pattern.rel_sign),
-        )
+        sym_a, sym_b, delta, rel_sign = key
+        rank = (frequency, -abs(values[key]), (-sym_a, -sym_b, -delta, rel_sign))
         if best is None or rank > best_rank:
-            best, best_rank = pattern, rank
+            best, best_rank = key, rank
     return best
 
 
-def _rewrite(
-    terms: List[List[Term]],
-    occurrences: List[Occurrence],
-    pattern: Pattern,
-    symbol: int,
-) -> None:
-    """Replace non-overlapping occurrences of ``pattern`` with the new symbol."""
-    used: Dict[int, set] = {}
-    replacements: Dict[int, List[Occurrence]] = {}
-    for occ in sorted(
-        occurrences, key=lambda o: (o.constant_index, o.term_a, o.term_b)
-    ):
-        taken = used.setdefault(occ.constant_index, set())
-        if occ.term_a in taken or occ.term_b in taken:
-            continue
-        taken.add(occ.term_a)
-        taken.add(occ.term_b)
-        replacements.setdefault(occ.constant_index, []).append(occ)
-    for constant_index, occs in replacements.items():
-        old_terms = terms[constant_index]
-        removed = set()
-        new_terms: List[Term] = []
-        for occ in occs:
-            removed.add(occ.term_a)
-            removed.add(occ.term_b)
-            new_terms.append(Term(pos=occ.pos, sign=occ.sign, symbol=symbol))
-        kept = [t for i, t in enumerate(old_terms) if i not in removed]
-        terms[constant_index] = kept + new_terms
+def _rewrite(terms: List[Term], matches: List[Match], symbol: int) -> List[Term]:
+    """One constant's terms with the non-overlapping ``matches`` replaced.
+
+    The untouched terms keep their order; the new symbol's terms follow,
+    one per replaced occurrence in :func:`first_fit` order.
+    """
+    chosen = first_fit(matches)
+    removed = {index for match in chosen for index in match[:2]}
+    kept = [t for i, t in enumerate(terms) if i not in removed]
+    return kept + [Term(pos=pos, sign=sign, symbol=symbol) for _, _, pos, sign in chosen]
 
 
 def cse_adder_count(

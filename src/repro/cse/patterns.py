@@ -15,7 +15,7 @@ at the use site).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Term", "Pattern", "Occurrence", "find_pattern_occurrences", "count_frequencies"]
 
@@ -63,22 +63,88 @@ class Occurrence:
     sign: int
 
 
-def _canonicalize(
-    first: Term, second: Term
-) -> Tuple[Pattern, int, int]:
-    """Return (pattern, anchor position, anchor sign) for an ordered term pair.
+#: A pattern inside the extraction loop: ``(sym_a, sym_b, delta, rel_sign)``.
+Key = Tuple[int, int, int, int]
+#: An occurrence inside one constant: ``(term_a, term_b, pos, sign)``.
+Match = Tuple[int, int, int, int]
 
-    ``first`` must have ``pos <= second.pos``.  The occurrence contributes
-    ``anchor_sign * (pattern_value << anchor_pos)``.
+_UNSEEN = object()
+
+
+def mine_constant(
+    terms: Sequence[Term],
+    values: Dict[Key, Optional[int]],
+    symbol_values: Dict[int, int],
+) -> Dict[Key, List[Match]]:
+    """Every useful pattern's occurrences inside one constant's term list.
+
+    Terms are paired in ``(pos, symbol)`` order, so each pair is canonical:
+    the occurrence keeps the lower term's position and sign, and the
+    pattern only the relative sign.
+    Useless patterns are skipped: those whose value is zero, or a pure
+    power of two times a single existing symbol (that is wiring, not an
+    adder worth sharing).  ``values`` caches each key's value, ``None`` for
+    a useless one; it is filled here and may be shared between calls over
+    the same ``symbol_values``.  Occurrences overlap freely here —
+    :func:`first_fit` picks the non-overlapping ones.
     """
-    delta = second.pos - first.pos
-    pattern = Pattern(
-        sym_a=first.symbol,
-        sym_b=second.symbol,
-        delta=delta,
-        rel_sign=first.sign * second.sign,
-    )
-    return pattern, first.pos, first.sign
+    order = sorted(range(len(terms)), key=lambda i: (terms[i].pos, terms[i].symbol))
+    found: Dict[Key, List[Match]] = {}
+    for at, index_a in enumerate(order):
+        first = terms[index_a]
+        pos, sign, symbol = first.pos, first.sign, first.symbol
+        for index_b in order[at + 1:]:
+            second = terms[index_b]
+            key = (symbol, second.symbol, second.pos - pos, sign * second.sign)
+            value = values.get(key, _UNSEEN)
+            if value is _UNSEEN:
+                value = values[key] = _useful_value(key, symbol_values)
+            if value is None:
+                continue
+            found.setdefault(key, []).append((index_a, index_b, pos, sign))
+    return found
+
+
+def _useful_value(key: Key, symbol_values: Dict[int, int]) -> Optional[int]:
+    """The pattern's value, or ``None`` when it is zero or trivial."""
+    sym_a, sym_b, delta, rel_sign = key
+    value = symbol_values[sym_a] + rel_sign * (symbol_values[sym_b] << delta)
+    magnitude = abs(value)
+    if magnitude == 0 or any(
+        is_shifted(magnitude, abs(v)) for v in symbol_values.values()
+    ):
+        return None
+    return value
+
+
+def is_shifted(magnitude: int, base: int) -> bool:
+    """True if ``magnitude`` is ``base << k`` for some ``k >= 0``."""
+    if base == 0 or magnitude % base:
+        return False
+    ratio = magnitude // base
+    return ratio & (ratio - 1) == 0
+
+
+def first_fit(matches: List[Match]) -> List[Match]:
+    """The occurrences a left-to-right sweep keeps inside one constant.
+
+    Two occurrences sharing a term cannot both be rewritten; sweeping in
+    ``(term_a, term_b)`` order gives the usable frequency (optimal for
+    interval-style conflicts in practice and deterministic, which matters
+    more here).
+    """
+    if len(matches) == 1:
+        return matches
+    taken: Set[int] = set()
+    kept: List[Match] = []
+    for match in sorted(matches):
+        term_a, term_b = match[0], match[1]
+        if term_a in taken or term_b in taken:
+            continue
+        taken.add(term_a)
+        taken.add(term_b)
+        kept.append(match)
+    return kept
 
 
 def find_pattern_occurrences(
@@ -87,50 +153,17 @@ def find_pattern_occurrences(
 ) -> Dict[Pattern, List[Occurrence]]:
     """Enumerate every candidate pattern and its occurrences over all constants.
 
-    Useless patterns are skipped: those whose value is zero, or a pure power
-    of two times a single existing symbol (that is wiring, not an adder worth
-    sharing).  Occurrences overlap freely here — non-overlapping selection
-    happens during frequency counting / extraction.
+    The patterns come in order of first occurrence, each with its
+    occurrences in constant order (see :func:`mine_constant`).
     """
+    values: Dict[Key, Optional[int]] = {}
     found: Dict[Pattern, List[Occurrence]] = {}
     for const_index, terms in enumerate(constants):
-        ordered = sorted(
-            range(len(terms)), key=lambda i: (terms[i].pos, terms[i].symbol)
-        )
-        for ai in range(len(ordered)):
-            for bi in range(ai + 1, len(ordered)):
-                first = terms[ordered[ai]]
-                second = terms[ordered[bi]]
-                pattern, pos, sign = _canonicalize(first, second)
-                value = pattern.value(symbol_values)
-                if value == 0:
-                    continue
-                if _is_trivial(value, symbol_values):
-                    continue
-                found.setdefault(pattern, []).append(
-                    Occurrence(
-                        constant_index=const_index,
-                        term_a=ordered[ai],
-                        term_b=ordered[bi],
-                        pos=pos,
-                        sign=sign,
-                    )
-                )
+        for key, matches in mine_constant(terms, values, symbol_values).items():
+            found.setdefault(Pattern(*key), []).extend(
+                Occurrence(const_index, *match) for match in matches
+            )
     return found
-
-
-def _is_trivial(value: int, symbol_values: Dict[int, int]) -> bool:
-    """True if ``value`` is ±(symbol << k) for some existing symbol."""
-    magnitude = abs(value)
-    for symbol_value in symbol_values.values():
-        if symbol_value == 0:
-            continue
-        base = abs(symbol_value)
-        if magnitude % base == 0:
-            ratio = magnitude // base
-            if ratio & (ratio - 1) == 0:  # power of two
-                return True
-    return False
 
 
 def count_frequencies(
@@ -138,21 +171,17 @@ def count_frequencies(
 ) -> Dict[Pattern, int]:
     """Max non-overlapping occurrence count per pattern.
 
-    Within one constant, two occurrences sharing a term cannot both be
-    rewritten; a greedy left-to-right sweep per constant gives the usable
-    frequency (optimal for interval-style conflicts in practice and
-    deterministic, which matters more here).
+    Occurrences conflict only inside one constant, so a pattern's frequency
+    is the sum of its per-constant :func:`first_fit` counts.
     """
     frequencies: Dict[Pattern, int] = {}
     for pattern, occs in occurrences.items():
-        used: Dict[int, set] = {}
-        count = 0
-        for occ in sorted(occs, key=lambda o: (o.constant_index, o.term_a, o.term_b)):
-            taken = used.setdefault(occ.constant_index, set())
-            if occ.term_a in taken or occ.term_b in taken:
-                continue
-            taken.add(occ.term_a)
-            taken.add(occ.term_b)
-            count += 1
-        frequencies[pattern] = count
+        per_constant: Dict[int, List[Match]] = {}
+        for occ in occs:
+            per_constant.setdefault(occ.constant_index, []).append(
+                (occ.term_a, occ.term_b, occ.pos, occ.sign)
+            )
+        frequencies[pattern] = sum(
+            len(first_fit(matches)) for matches in per_constant.values()
+        )
     return frequencies

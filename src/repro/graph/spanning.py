@@ -146,9 +146,10 @@ def _build_forest(
         if vertex in colors:
             assignments[vertex] = TreeAssignment(vertex=vertex, kind="alias", depth=0)
     unassigned: Set[int] = set(graph.vertices) - set(assignments)
+    incoming = {v: graph.edges_into(v, colors) for v in unassigned}
 
     while unassigned:
-        _saturate(graph, colors, limit, assignments, unassigned)
+        _saturate(incoming, limit, assignments, unassigned)
         if not unassigned:
             break
         root = _choose_root(graph, colors, unassigned)
@@ -160,18 +161,20 @@ def _build_forest(
 
 
 def _saturate(
-    graph: ColoredGraph,
-    colors: Set[int],
+    incoming: Dict[int, List[ColorEdge]],
     limit: int,
     assignments: Dict[int, TreeAssignment],
     unassigned: Set[int],
 ) -> None:
-    """Attach vertices breadth-first, always at the minimal feasible depth."""
+    """Attach vertices breadth-first, always at the minimal feasible depth.
+
+    ``incoming`` holds each unassigned vertex's solution-colored in-edges.
+    """
     while True:
         candidates: Dict[int, Tuple[Tuple[int, int, int, int, int], ColorEdge]] = {}
         for vertex in unassigned:
             best: Optional[Tuple[Tuple[int, int, int, int, int], ColorEdge]] = None
-            for edge in graph.edges_into(vertex, colors):
+            for edge in incoming[vertex]:
                 parent = assignments.get(edge.src)
                 if parent is None or parent.depth + 1 > limit:
                     continue

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MrpOptions, optimize
+from repro.core.sidc import normalize_taps
 from repro.errors import GraphError
+from repro.eval.experiments import BETA_SWEEP
+from repro.filters import benchmark_filter
 from repro.graph import (
     SpanningForest,
     TreeAssignment,
@@ -12,6 +16,8 @@ from repro.graph import (
     build_spanning_forest,
     greedy_weighted_set_cover,
 )
+from repro.graph.spanning import _choose_root
+from repro.quantize import ScalingScheme, quantize
 
 ODD_VERTEX = st.integers(min_value=1, max_value=511).map(lambda n: 2 * n + 1)
 VERTEX_SETS = st.sets(ODD_VERTEX, min_size=2, max_size=7)
@@ -147,3 +153,73 @@ class TestForestProperties:
         assert not roots & aliases
         assert not roots & children
         assert not aliases & children
+
+
+def reference_forest(graph, colors, depth_limit):
+    """The forest builder that asks the graph for each vertex's in-edges at
+    every BFS level (the builder keeps one list per vertex instead)."""
+    colors = set(colors)
+    limit = depth_limit if depth_limit is not None else len(graph.vertices) + 1
+    assignments = {
+        v: TreeAssignment(vertex=v, kind="alias", depth=0)
+        for v in sorted(graph.vertices) if v in colors
+    }
+    unassigned = set(graph.vertices) - set(assignments)
+    while unassigned:
+        while True:
+            candidates = {}
+            for vertex in unassigned:
+                best = None
+                for edge in graph.edges_into(vertex, colors):
+                    parent = assignments.get(edge.src)
+                    if parent is None or parent.depth + 1 > limit:
+                        continue
+                    rank = (parent.depth + 1, edge.weight, edge.shift,
+                            edge.color_shift, edge.src)
+                    if best is None or rank < best[0]:
+                        best = (rank, edge)
+                if best is not None:
+                    candidates[vertex] = best
+            if not candidates:
+                break
+            depth = min(rank[0] for rank, _ in candidates.values())
+            for vertex, (rank, edge) in sorted(candidates.items()):
+                if rank[0] == depth:
+                    assignments[vertex] = TreeAssignment(
+                        vertex=vertex, kind="child", depth=depth,
+                        parent=edge.src, edge=edge,
+                    )
+                    unassigned.discard(vertex)
+        if unassigned:
+            root = _choose_root(graph, colors, unassigned)
+            assignments[root] = TreeAssignment(vertex=root, kind="root", depth=0)
+            unassigned.discard(root)
+    return SpanningForest(tuple(assignments[v] for v in sorted(assignments)))
+
+
+class TestForestOracle:
+    def test_suite_covers_match_reference(self):
+        """Every distinct β-sweep cover of the 96 suite points, unbounded
+        and at Table 1's depth 3."""
+        checked = 0
+        for index in range(12):
+            designed = benchmark_filter(index)
+            for wordlength in (8, 12, 16, 20):
+                for scheme in ScalingScheme:
+                    integers = quantize(designed.folded, wordlength, scheme).integers
+                    vertices, _ = normalize_taps(integers)
+                    if len(vertices) < 2:
+                        continue
+                    graph = build_colored_graph(vertices, wordlength)
+                    covers = {
+                        optimize(integers, wordlength, MrpOptions(beta=beta),
+                                 graph=graph).solution_colors
+                        for beta in BETA_SWEEP
+                    }
+                    for colors in sorted(covers):
+                        for depth_limit in (None, 3):
+                            assert build_spanning_forest(
+                                graph, colors, depth_limit
+                            ) == reference_forest(graph, colors, depth_limit)
+                            checked += 1
+        assert checked >= 400
